@@ -16,20 +16,18 @@ import argparse
 import sys
 from pathlib import Path
 from random import Random
-from typing import Any
+from typing import Any, Callable
 
 from . import documents
 from .errors import (
     CapacityError,
-    DocumentError,
     InvalidInputError,
-    ProtocolCorruptionError,
     QsealError,
     UnsupportedModeError,
 )
 from .experiment import (
-    CSV_HEADER,
     DEFAULT_BIT_LEN,
+    CurvePoint,
     TrialConfig,
     curve_csv,
     fig1_curve,
@@ -42,6 +40,7 @@ from .seal import (
     ClassicalReturn,
     NarySymmetric,
     ReturnKind,
+    SealMode,
     VerifyMethod,
     alice_seal_binary,
     alice_seal_nary,
@@ -55,12 +54,12 @@ from .tcf import TcfParams
 
 
 class CLIError(Exception):
-    """Failure with a chosen process exit code."""
+    """A flag combination the command does not accept; exits 2."""
 
-    def __init__(self, message: str, exit_code: int = 2) -> None:
-        super().__init__(message)
-        self.message = message
-        self.exit_code = exit_code
+
+# Exit 2 for a request that is itself invalid; every other deliberate
+# failure (corrupt documents, inconsistent protocol material, IO) exits 3.
+_USAGE_ERRORS = (CLIError, InvalidInputError, UnsupportedModeError, CapacityError)
 
 
 # ---------------------------------------------------------------------------
@@ -68,18 +67,19 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}", exit_code=3) from exc
+def _load(path: str, kind: str, decode: Callable[[Any], Any]) -> Any:
+    return decode(documents.parse_document(Path(path).read_bytes(), kind))
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise CLIError(f"cannot write {path}: {exc}", exit_code=3) from exc
+def _mode(args: argparse.Namespace) -> SealMode:
+    """The seal mode named by --mode and --k."""
+    if args.mode == "binary":
+        if args.k is not None:
+            raise CLIError("binary mode always has 2 branches; --k is not allowed")
+        return BinaryTcf()
+    if args.k is None:
+        raise CLIError("nary mode needs --k")
+    return NarySymmetric(args.k)
 
 
 def _secret_bytes(text: str) -> bytes:
@@ -93,20 +93,10 @@ def _secret_bytes(text: str) -> bytes:
 
 
 def _format_report(report: Any) -> str:
-    theory = "none" if report.p_theory is None else f"{report.p_theory:.6f}"
     return (
         f"statistic={report.statistic} p_hat={report.p_hat:.6f} "
         f"ci95_low={report.ci_low:.6f} ci95_high={report.ci_high:.6f} "
-        f"trials={report.trials} p_theory={theory}"
-    )
-
-
-def _report_csv(k: int, report: Any) -> str:
-    theory = 0.0 if report.p_theory is None else report.p_theory
-    return (
-        CSV_HEADER + "\n"
-        f"{k},{theory:.6f},{report.p_hat:.6f},"
-        f"{report.ci_low:.6f},{report.ci_high:.6f},{report.trials}\n"
+        f"trials={report.trials} p_theory={report.p_theory:.6f}"
     )
 
 
@@ -117,55 +107,48 @@ def _report_csv(k: int, report: Any) -> str:
 
 def cmd_seal(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
-    if args.mode == "binary":
+    mode = _mode(args)
+    if isinstance(mode, BinaryTcf):
         if args.secret is not None:
             raise CLIError("binary mode derives its secret; --secret is not allowed")
-        if args.k is not None:
-            raise CLIError("binary mode always has 2 branches; --k is not allowed")
         package, record = alice_seal_binary(TcfParams(args.bits), rng)
     else:
         if args.secret is None:
             raise CLIError("nary mode needs --secret")
-        if args.k is None:
-            raise CLIError("nary mode needs --k")
         package, record = alice_seal_nary(
-            args.k, _secret_bytes(args.secret), args.bits, rng
+            mode.k, _secret_bytes(args.secret), args.bits, rng
         )
-    _write_text(args.out_package, documents.package_to_document(package))
-    _write_text(args.out_secret, documents.secret_to_document(record))
+    Path(args.out_package).write_text(documents.package_to_document(package))
+    Path(args.out_secret).write_text(documents.secret_to_document(record))
     return 0
 
 
 def cmd_open(args: argparse.Namespace) -> int:
-    payload = documents.parse_document(
-        _read_text(args.package), documents.KIND_PACKAGE
+    package = _load(
+        args.package, documents.KIND_PACKAGE, documents.package_from_payload
     )
-    package = documents.package_from_payload(payload)
     print(bob_open(package, Random(args.seed)).hex())
     return 0
 
 
 def cmd_respond(args: argparse.Namespace) -> int:
-    payload = documents.parse_document(
-        _read_text(args.package), documents.KIND_PACKAGE
+    package = _load(
+        args.package, documents.KIND_PACKAGE, documents.package_from_payload
     )
-    package = documents.package_from_payload(payload)
     message = bob_respond(
         package,
         CheatStrategy(args.strategy),
         ReturnKind(args.kind),
         Random(args.seed),
     )
-    _write_text(args.out, documents.return_to_document(message))
+    Path(args.out).write_text(documents.return_to_document(message))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    record = documents.secret_from_payload(
-        documents.parse_document(_read_text(args.secret), documents.KIND_SECRET)
-    )
-    message = documents.return_from_payload(
-        documents.parse_document(_read_text(args.return_path), documents.KIND_RETURN)
+    record = _load(args.secret, documents.KIND_SECRET, documents.secret_from_payload)
+    message = _load(
+        args.return_path, documents.KIND_RETURN, documents.return_from_payload
     )
     if isinstance(message, ClassicalReturn):
         accepted = alice_verify_classical(record, message.mask)
@@ -178,18 +161,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _simulate_config(args: argparse.Namespace) -> TrialConfig:
-    if args.mode == "binary":
-        if args.k is not None:
-            raise CLIError("binary mode always has 2 branches; --k is not allowed")
-        mode: BinaryTcf | NarySymmetric = BinaryTcf()
-    else:
-        if args.k is None:
-            raise CLIError("nary mode needs --k")
-        mode = NarySymmetric(args.k)
     kind = ReturnKind(args.kind)
     method = VerifyMethod(args.method) if kind is ReturnKind.QUANTUM else None
     return TrialConfig(
-        mode=mode,
+        mode=_mode(args),
         bit_len=args.bits,
         strategy=CheatStrategy(args.strategy),
         return_kind=kind,
@@ -202,8 +177,6 @@ def _simulate_config(args: argparse.Namespace) -> TrialConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise CLIError("--workers must be >= 1")
-    if args.trials < 1:
-        raise CLIError("--trials must be >= 1")
     if args.mixture:
         report = mixture_diagnostic(args.bits, args.trials, args.seed)
         k = 2
@@ -220,13 +193,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
     print(_format_report(report))
     if args.csv is not None:
-        _write_text(args.csv, _report_csv(k, report))
+        point = CurvePoint(
+            k, report.p_theory, report.p_hat, report.ci_low, report.ci_high,
+            report.trials,
+        )
+        Path(args.csv).write_text(curve_csv([point]))
     if args.out_report is not None:
-        _write_text(
-            args.out_report,
+        Path(args.out_report).write_text(
             documents.report_to_document(
                 report, {**context, "bit_len": args.bits, "seed": args.seed}
-            ),
+            )
         )
     return 0
 
@@ -234,10 +210,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise CLIError("--workers must be >= 1")
-    if args.trials < 1:
-        raise CLIError("--trials must be >= 1")
-    if not 2 <= args.k_max <= 64:
-        raise CLIError(f"--k-max must be in [2, 64], got {args.k_max}")
     points = fig1_curve(
         k_max=args.k_max,
         trials_per_point=args.trials,
@@ -249,7 +221,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -361,22 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code is None else 2
     try:
         return args.handler(args)
-    except CLIError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.exit_code
-    except (DocumentError, ProtocolCorruptionError) as exc:
+    except (CLIError, QsealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidInputError, UnsupportedModeError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QsealError as exc:
-        # Remaining package errors signal inconsistent protocol material.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 3
 
 
 def console_entry() -> None:

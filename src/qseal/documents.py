@@ -14,12 +14,13 @@ function-family module for why evaluation is oracle-style here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .bits import BitString
-from .errors import DocumentError
+from .errors import DocumentError, InvalidInputError, ProtocolCorruptionError
 from .sparsestate import SparseState
 from .seal import (
     AliceSecret,
@@ -32,7 +33,7 @@ from .seal import (
     SealPackage,
 )
 from .symcrypto import Ciphertext
-from .tcf import SALT_BYTES, TcfOracle, TcfParams
+from .tcf import TcfOracle, TcfParams
 
 FORMAT_VERSION = 1
 
@@ -56,11 +57,14 @@ def dumps_document(kind: str, payload: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def parse_document(text: str, expected_kind: str | None = None) -> dict[str, Any]:
+def parse_document(
+    text: str | bytes, expected_kind: str | None = None
+) -> dict[str, Any]:
     """Check the envelope and return the payload."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Undecodable bytes, bad syntax, over-long integers, deep nesting.
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -96,25 +100,25 @@ def encode_amplitude(amp: float) -> list[Any]:
 
 
 def decode_amplitude(value: Any) -> float:
-    if (
-        isinstance(value, list)
-        and len(value) == 3
-        and value[0] == "root"
-        and value[1] in (-1, 1)
-        and isinstance(value[2], int)
-        and value[2] >= 1
-    ):
-        return value[1] / math.sqrt(value[2])
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and value[0] == "hex"
-        and isinstance(value[1], str)
-    ):
-        try:
+    try:
+        if (
+            isinstance(value, list)
+            and len(value) == 3
+            and value[0] == "root"
+            and value[1] in (-1, 1)
+            and isinstance(value[2], int)
+            and value[2] >= 1
+        ):
+            return value[1] / math.sqrt(value[2])
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and value[0] == "hex"
+            and isinstance(value[1], str)
+        ):
             return float.fromhex(value[1])
-        except ValueError as exc:
-            raise DocumentError(f"bad hex float {value[1]!r}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise DocumentError(f"bad amplitude {value!r}: {exc}") from exc
     raise DocumentError(f"bad amplitude encoding {value!r}")
 
 
@@ -130,19 +134,40 @@ def _require(payload: dict[str, Any], field: str, kind: type) -> Any:
 def _bitstring_from_hex(bit_len: int, text: Any, field: str) -> BitString:
     if not isinstance(text, str):
         raise DocumentError(f"field {field!r} must be a hex string")
-    try:
-        return BitString.from_hex(bit_len, text)
-    except Exception as exc:
-        raise DocumentError(f"field {field!r}: {exc}") from exc
+    return BitString.from_hex(bit_len, text)
 
 
-def _bytes_from_hex(text: Any, field: str) -> bytes:
-    if not isinstance(text, str):
-        raise DocumentError(f"field {field!r} must be a hex string")
+def _bytes_from_hex(payload: dict[str, Any], field: str) -> bytes:
     try:
-        return bytes.fromhex(text)
+        return bytes.fromhex(_require(payload, field, str))
     except ValueError as exc:
         raise DocumentError(f"field {field!r} is not hex") from exc
+
+
+_Decoded = TypeVar("_Decoded")
+
+
+def _boundary(
+    decode: Callable[[dict[str, Any]], _Decoded],
+) -> Callable[[Any], _Decoded]:
+    """Decode boundary of a public ``*_from_payload``.
+
+    The payload must be a JSON object, and a value the library constructors
+    reject (they raise only InvalidInputError or ProtocolCorruptionError)
+    surfaces as DocumentError, the one error a malformed document raises.
+    """
+    what = decode.__name__.removesuffix("_from_payload")
+
+    @functools.wraps(decode)
+    def checked(payload: Any) -> _Decoded:
+        if not isinstance(payload, dict):
+            raise DocumentError(f"{what} payload must be a JSON object")
+        try:
+            return decode(payload)
+        except (InvalidInputError, ProtocolCorruptionError) as exc:
+            raise DocumentError(f"invalid {what}: {exc}") from exc
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +184,8 @@ def state_to_payload(state: SparseState) -> dict[str, Any]:
     }
 
 
-def state_from_payload(payload: Any) -> SparseState:
-    if not isinstance(payload, dict):
-        raise DocumentError("state must be a JSON object")
+@_boundary
+def state_from_payload(payload: dict[str, Any]) -> SparseState:
     bit_len = _require(payload, "bit_len", int)
     terms_field = _require(payload, "terms", list)
     terms: dict[BitString, float] = {}
@@ -172,10 +196,7 @@ def state_from_payload(payload: Any) -> SparseState:
         if key in terms:
             raise DocumentError(f"duplicate state term {item[0]}")
         terms[key] = decode_amplitude(item[1])
-    try:
-        return SparseState(bit_len, terms)
-    except Exception as exc:
-        raise DocumentError(f"invalid state: {exc}") from exc
+    return SparseState(bit_len, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +215,7 @@ def _mode_from_payload(payload: dict[str, Any]) -> SealMode:
     if name == "binary":
         return BinaryTcf()
     if name == "nary":
-        try:
-            return NarySymmetric(_require(payload, "k", int))
-        except DocumentError:
-            raise
-        except Exception as exc:
-            raise DocumentError(f"invalid branch count: {exc}") from exc
+        return NarySymmetric(_require(payload, "k", int))
     raise DocumentError(f"unknown mode {name!r}")
 
 
@@ -230,6 +246,7 @@ def package_to_document(package: SealPackage) -> str:
     return dumps_document(KIND_PACKAGE, payload)
 
 
+@_boundary
 def package_from_payload(payload: dict[str, Any]) -> SealPackage:
     mode = _mode_from_payload(payload)
     bit_len = _require(payload, "bit_len", int)
@@ -238,21 +255,13 @@ def package_from_payload(payload: dict[str, Any]) -> SealPackage:
     ciphertexts = None
     if isinstance(mode, BinaryTcf):
         entry = _require(payload, "tcf", dict)
-        salt = _bytes_from_hex(_require(entry, "salt", str), "salt")
-        if len(salt) != SALT_BYTES:
-            raise DocumentError(f"salt must be {SALT_BYTES} bytes")
-        try:
-            params = TcfParams(
-                _require(entry, "bit_len", int), _require(entry, "image_bits", int)
-            )
-            shift = _bitstring_from_hex(
-                params.bit_len, _require(entry, "shift", str), "shift"
-            )
-            tcf = TcfOracle(params, salt, shift)
-        except DocumentError:
-            raise
-        except Exception as exc:
-            raise DocumentError(f"invalid function instance: {exc}") from exc
+        params = TcfParams(
+            _require(entry, "bit_len", int), _require(entry, "image_bits", int)
+        )
+        shift = _bitstring_from_hex(
+            params.bit_len, _require(entry, "shift", str), "shift"
+        )
+        tcf = TcfOracle(params, _bytes_from_hex(entry, "salt"), shift)
     else:
         entries = _require(payload, "ciphertexts", list)
         collected = []
@@ -261,23 +270,17 @@ def package_from_payload(payload: dict[str, Any]) -> SealPackage:
                 raise DocumentError("each ciphertext must be a JSON object")
             collected.append(
                 Ciphertext(
-                    _bytes_from_hex(_require(entry, "key_tag", str), "key_tag"),
-                    _bytes_from_hex(_require(entry, "body", str), "body"),
+                    _bytes_from_hex(entry, "key_tag"), _bytes_from_hex(entry, "body")
                 )
             )
         ciphertexts = tuple(collected)
-    try:
-        return SealPackage(
-            mode=mode,
-            bit_len=bit_len,
-            register=register,
-            tcf=tcf,
-            ciphertexts=ciphertexts,
-        )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(f"invalid package: {exc}") from exc
+    return SealPackage(
+        mode=mode,
+        bit_len=bit_len,
+        register=register,
+        tcf=tcf,
+        ciphertexts=ciphertexts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +300,7 @@ def secret_to_document(record: AliceSecret) -> str:
     return dumps_document(KIND_SECRET, payload)
 
 
+@_boundary
 def secret_from_payload(payload: dict[str, Any]) -> AliceSecret:
     mode = _mode_from_payload(payload)
     bit_len = _require(payload, "bit_len", int)
@@ -310,20 +314,13 @@ def secret_from_payload(payload: dict[str, Any]) -> AliceSecret:
         if trapdoor_field is not None
         else None
     )
-    try:
-        return AliceSecret(
-            mode=mode,
-            secret=_bytes_from_hex(_require(payload, "secret", str), "secret"),
-            branches=branches,
-            trapdoor=trapdoor,
-            original_state=state_from_payload(
-                _require(payload, "original_state", dict)
-            ),
-        )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(f"invalid secret record: {exc}") from exc
+    return AliceSecret(
+        mode=mode,
+        secret=_bytes_from_hex(payload, "secret"),
+        branches=branches,
+        trapdoor=trapdoor,
+        original_state=state_from_payload(_require(payload, "original_state", dict)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +343,7 @@ def return_to_document(message: ReturnMessage) -> str:
     return dumps_document(KIND_RETURN, payload)
 
 
+@_boundary
 def return_from_payload(payload: dict[str, Any]) -> ReturnMessage:
     kind = _require(payload, "return_kind", str)
     if kind == "quantum":

@@ -33,6 +33,7 @@ from .seal import (
     alice_verify_quantum,
     bob_respond,
     branch_count,
+    check_width,
     compatible,
 )
 from .sparsestate import (
@@ -117,12 +118,7 @@ class TrialConfig:
                     "helstrom verification needs a cheating alternative; an "
                     "honest run has none"
                 )
-        if isinstance(self.mode, BinaryTcf):
-            TcfParams(self.bit_len)  # reuse its width validation
-        elif (1 << self.bit_len) < 4 * self.mode.k:
-            raise InvalidInputError(
-                f"bit_len {self.bit_len} too small for {self.mode.k} branches"
-            )
+        check_width(self.mode, self.bit_len)
 
     @property
     def statistic(self) -> str:
@@ -142,7 +138,7 @@ class EstimateReport:
     ci_low: float
     ci_high: float
     trials: int
-    p_theory: float | None
+    p_theory: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,8 +152,13 @@ class CurvePoint:
 
 
 def _spawned_rng(master_seed: int, *path: int | str) -> Random:
-    """Independent stream derived from the master seed and a label path."""
-    h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
+    """Independent stream derived from a signed 64-bit master seed and a label path."""
+    try:
+        h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
+    except struct.error as exc:
+        raise InvalidInputError(
+            f"seed must be in [-2^63, 2^63), got {master_seed}"
+        ) from exc
     for part in path:
         if isinstance(part, int):
             h.update(b"i" + struct.pack(">q", part))
@@ -167,8 +168,8 @@ def _spawned_rng(master_seed: int, *path: int | str) -> Random:
     return Random(int.from_bytes(h.digest()[:8], "big"))
 
 
-def theory_rate(config: TrialConfig) -> float | None:
-    """Exact expected rate for the configured statistic, where known."""
+def theory_rate(config: TrialConfig) -> float:
+    """Exact expected rate for the configured statistic."""
     k = branch_count(config.mode)
     if config.return_kind is ReturnKind.CLASSICAL:
         if config.strategy is CheatStrategy.HONEST:
@@ -255,8 +256,7 @@ def fig1_curve(
     One point per k in [2, k_max]: n-ary seal, quantum return, per-branch
     Helstrom verification, paired with the closed-form curve.
     """
-    if k_max < 2:
-        raise InvalidInputError(f"k_max must be >= 2, got {k_max}")
+    check_width(NarySymmetric(k_max), bit_len)  # then every smaller k fits too
     points: list[CurvePoint] = []
     for k in range(2, k_max + 1):
         config = TrialConfig(
@@ -307,8 +307,6 @@ def mixture_diagnostic(
     per-branch detection figure because here nobody tells the verifier
     which branch the cheater kept.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
     if bit_len < 3:
         raise InvalidInputError(f"bit_len must be >= 3, got {bit_len}")
     amp = 1.0 / math.sqrt(2.0)

@@ -68,6 +68,19 @@ def branch_count(mode: SealMode) -> int:
     return 2 if isinstance(mode, BinaryTcf) else mode.k
 
 
+def check_width(mode: SealMode, bit_len: int) -> None:
+    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``."""
+    if isinstance(mode, BinaryTcf):
+        TcfParams(bit_len)
+        return
+    if bit_len < (4 * mode.k - 1).bit_length():
+        # That is 2^bit_len < 4k, negative widths included.  The 4k floor
+        # keeps rejection sampling of distinct branches fast and collisions rare.
+        raise InvalidInputError(
+            f"bit_len {bit_len} too small for {mode.k} branches; need 2^bit_len >= 4k"
+        )
+
+
 class CheatStrategy(Enum):
     HONEST = "honest"
     # Read the register, send back whatever it collapsed to.
@@ -135,7 +148,7 @@ class SealPackage:
                 )
             expected_amp = 1.0 / math.sqrt(k)
             for amp in self.register.terms.values():
-                if abs(amp - expected_amp) > AMP_TOL:
+                if not abs(amp - expected_amp) <= AMP_TOL:  # NaN fails too
                     raise InvalidInputError(
                         "n-ary register amplitudes must all be 1/sqrt(k)"
                     )
@@ -231,13 +244,7 @@ def alice_seal_nary(
     mode = NarySymmetric(k)
     if not secret:
         raise InvalidInputError("secret must be nonempty")
-    if bit_len < 1:
-        raise InvalidInputError(f"bit_len must be >= 1, got {bit_len}")
-    if (1 << bit_len) < 4 * k:
-        # Keeps rejection sampling of distinct branches fast and collisions rare.
-        raise InvalidInputError(
-            f"bit_len {bit_len} too small for {k} branches; need 2^bit_len >= 4k"
-        )
+    check_width(mode, bit_len)
     chosen: list[BitString] = []
     seen: set[BitString] = set()
     while len(chosen) < k:

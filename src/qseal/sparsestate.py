@@ -50,7 +50,9 @@ class SparseState:
             if amp == 0.0:
                 raise InvalidInputError(f"term {key} has zero amplitude")
             norm_sq += amp * amp
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        # Negated so that a NaN or infinite amplitude, which makes norm_sq
+        # non-finite, fails the test too.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise InvalidInputError(
                 f"squared amplitudes sum to {norm_sq!r}, expected 1"
             )

@@ -52,7 +52,20 @@ class TcfParams:
             )
 
 
+def _check_instance(params: TcfParams, salt: bytes, shift: BitString) -> None:
+    if shift.bit_len != params.bit_len:
+        raise InvalidInputError("shift width must match params.bit_len")
+    if shift.value == 0:
+        raise InvalidInputError("shift must be nonzero")
+    if len(salt) != SALT_BYTES:
+        raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
+
+
 def _image(params: TcfParams, salt: bytes, shift: int, x: BitString) -> bytes:
+    if x.bit_len != params.bit_len:
+        raise InvalidInputError(
+            f"input width {x.bit_len} does not match instance width {params.bit_len}"
+        )
     canonical = min(x.value, x.value ^ shift)
     material = BitString(params.bit_len, canonical).encode()
     digest = hashlib.sha256(_EVAL_PREFIX + salt + material).digest()
@@ -73,12 +86,7 @@ class TcfOracle:
     __slots__ = ("params", "_salt", "_shift")
 
     def __init__(self, params: TcfParams, salt: bytes, shift: BitString) -> None:
-        if shift.bit_len != params.bit_len:
-            raise InvalidInputError("shift width must match params.bit_len")
-        if shift.value == 0:
-            raise InvalidInputError("shift must be nonzero")
-        if len(salt) != SALT_BYTES:
-            raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
+        _check_instance(params, salt, shift)
         self.params = params
         self._salt = salt
         self._shift = shift
@@ -92,11 +100,6 @@ class TcfOracle:
         return _public_key_bytes(self.params, self._salt)
 
     def eval(self, x: BitString) -> bytes:
-        if x.bit_len != self.params.bit_len:
-            raise InvalidInputError(
-                f"input width {x.bit_len} does not match instance width "
-                f"{self.params.bit_len}"
-            )
         return _image(self.params, self._salt, self._shift.value, x)
 
     def export_parts(self) -> tuple[TcfParams, bytes, BitString]:
@@ -120,12 +123,7 @@ class TcfKeyPair:
     shift: BitString  # trapdoor: x and x xor shift share an image
 
     def __post_init__(self) -> None:
-        if self.shift.bit_len != self.params.bit_len:
-            raise InvalidInputError("shift width must match params.bit_len")
-        if self.shift.value == 0:
-            raise InvalidInputError("shift must be nonzero")
-        if len(self.salt) != SALT_BYTES:
-            raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
+        _check_instance(self.params, self.salt, self.shift)
 
     @property
     def public_key(self) -> bytes:
@@ -135,11 +133,6 @@ class TcfKeyPair:
         return TcfOracle(self.params, self.salt, self.shift)
 
     def eval(self, x: BitString) -> bytes:
-        if x.bit_len != self.params.bit_len:
-            raise InvalidInputError(
-                f"input width {x.bit_len} does not match instance width "
-                f"{self.params.bit_len}"
-            )
         return _image(self.params, self.salt, self.shift.value, x)
 
 

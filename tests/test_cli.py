@@ -148,6 +148,33 @@ class TestSealOpen:
         _, sec = binary_files
         assert run("open", "--package", str(sec)) == 3
 
+    @pytest.mark.parametrize(
+        "amplitude",
+        [["root", 1, 10**400], ["hex", "0x1p99999"], ["hex", "nan"]],
+        ids=["root-overflow", "hex-overflow", "nan"],
+    )
+    def test_open_unusable_amplitude_is_integrity_error(
+        self, binary_files, tmp_path, capsys, amplitude
+    ):
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        doc["payload"]["register"]["terms"][0][1] = amplitude
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("open", "--package", str(bad)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe\x00garbage", b"1" * 5000, b"[" * 100_000],
+        ids=["undecodable", "long-integer", "deep-nesting"],
+    )
+    def test_open_unloadable_bytes_is_integrity_error(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert run("open", "--package", str(bad)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 # ---------------------------------------------------------------------------
 # respond / verify
@@ -348,6 +375,17 @@ class TestSimulate:
         assert run("simulate", "--mode", "nary", "--trials", "10") == 2  # no --k
         capsys.readouterr()
 
+    def test_negative_width_is_usage_error(self, capsys):
+        for mode in (["--mode", "nary", "--k", "2"], ["--mode", "binary"]):
+            assert run("simulate", *mode, "--bits", "-1", "--trials", "10") == 2
+        assert run("simulate", "--mixture", "--bits", "-1", "--trials", "10") == 2
+        capsys.readouterr()
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        assert run("simulate", "--trials", "0") == 2
+        assert run("simulate", "--mixture", "--trials", "0") == 2
+        capsys.readouterr()
+
     def test_honest_helstrom_combination_rejected(self, capsys):
         assert (
             run(
@@ -385,6 +423,29 @@ class TestCurve:
     def test_k_max_bounds(self):
         assert run("curve", "--k-max", "1", "--trials", "10") == 2
         assert run("curve", "--k-max", "65", "--trials", "10") == 2
+
+    def test_width_and_trial_checks_are_usage_errors(self, capsys):
+        assert run("curve", "--k-max", "4", "--bits", "3", "--trials", "10") == 2
+        assert run("curve", "--k-max", "2", "--trials", "0") == 2
+        capsys.readouterr()
+
+
+class TestSeedRange:
+    """simulate and curve take seeds in [-2^63, 2^63): exit 2 outside."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--trials", "3"],
+        "mixture": ["simulate", "--mixture", "--trials", "3"],
+        "curve": ["curve", "--k-max", "2", "--trials", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("seed, code", [
+        (2**63 - 1, 0), (-(2**63), 0), (2**63, 2), (-(2**63) - 1, 2),
+    ])
+    def test_edges(self, capsys, command, seed, code):
+        assert run(*self.COMMANDS[command], f"--seed={seed}") == code
+        capsys.readouterr()
 
 
 class TestParser:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qseal import documents
 from qseal.bits import BitString
@@ -77,6 +78,19 @@ class TestEnvelope:
         with pytest.raises(DocumentError):
             documents.parse_document(text)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"kind": "\xff"}',  # not UTF-8
+            b'{"format_version": ' + b"1" * 5000 + b"}",  # over-long integer
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        ],
+        ids=["undecodable", "long-integer", "deep-nesting"],
+    )
+    def test_rejects_bytes_json_cannot_load(self, raw):
+        with pytest.raises(DocumentError):
+            documents.parse_document(raw)
+
 
 # ---------------------------------------------------------------------------
 # amplitude codec
@@ -102,7 +116,16 @@ class TestAmplitudes:
         assert documents.decode_amplitude(encoded) == value
 
     def test_rejects_malformed_encodings(self):
-        for bad in (["root", 2, 4], ["root", 1, 0], ["hex", "xyz"], "0.5", 0.5, []):
+        for bad in (
+            ["root", 2, 4],
+            ["root", 1, 0],
+            ["hex", "xyz"],
+            "0.5",
+            0.5,
+            [],
+            ["root", 1, 10**400],  # overflows a float
+            ["hex", "0x1p99999"],  # overflows a float
+        ):
             with pytest.raises(DocumentError):
                 documents.decode_amplitude(bad)
 
@@ -150,6 +173,15 @@ class TestStates:
 
     def test_rejects_bad_hex_width(self):
         payload = {"bit_len": 8, "terms": [["001", ["root", 1, 1]]]}
+        with pytest.raises(DocumentError):
+            documents.state_from_payload(payload)
+
+    @pytest.mark.parametrize("amp", [["hex", "nan"], ["hex", "inf"]])
+    def test_rejects_non_finite_amplitudes(self, amp):
+        payload = {"bit_len": 8, "terms": [["01", amp]]}
+        with pytest.raises(DocumentError):
+            documents.state_from_payload(payload)
+        payload["terms"].append(["02", ["root", 1, 1]])
         with pytest.raises(DocumentError):
             documents.state_from_payload(payload)
 
@@ -239,3 +271,109 @@ class TestRoundTrips:
         payload = documents.parse_document(text, documents.KIND_REPORT)
         assert payload["p_hat"] == 0.8536
         assert payload["experiment"] == "run_trials"
+
+
+# ---------------------------------------------------------------------------
+# the decode boundary
+# ---------------------------------------------------------------------------
+
+DECODERS = {
+    "state": documents.state_from_payload,
+    "package": documents.package_from_payload,
+    "secret": documents.secret_from_payload,
+    "return": documents.return_from_payload,
+}
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _valid_payloads() -> dict[str, list[dict]]:
+    binary_package, binary_record = binary_pair(seed=1)
+    nary_package, nary_record = nary_pair(k=3, seed=1)
+    returns = [
+        bob_respond(binary_package, CheatStrategy.HONEST, kind, Random(2))
+        for kind in ReturnKind
+    ]
+
+    def payload(text: str) -> dict:
+        return json.loads(text)["payload"]
+
+    return {
+        "state": [documents.state_to_payload(binary_package.register)],
+        "package": [
+            payload(documents.package_to_document(p))
+            for p in (binary_package, nary_package)
+        ],
+        "secret": [
+            payload(documents.secret_to_document(r))
+            for r in (binary_record, nary_record)
+        ],
+        "return": [payload(documents.return_to_document(m)) for m in returns],
+    }
+
+
+VALID = _valid_payloads()
+
+
+def _paths(value, prefix=()):
+    """Every position inside a JSON value, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+@st.composite
+def damaged(draw, decoder: str):
+    """A valid payload with one position replaced by an arbitrary JSON value."""
+    payload = copy.deepcopy(draw(st.sampled_from(VALID[decoder])))
+    path = draw(st.sampled_from(list(_paths(payload))))
+    # Near misses (small widths and counts, hex of any length) get past the
+    # type checks and into the library constructors.
+    replacement = draw(
+        json_values | st.integers(-2, 70) | st.text("0123456789abcdef", max_size=36)
+    )
+    if not path:
+        return replacement
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = replacement
+    return payload
+
+
+class TestDecodeBoundary:
+    """Any JSON value given to a decoder decodes or raises DocumentError."""
+
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    @pytest.mark.parametrize("payload", [None, 3, "text", [], [{}]])
+    def test_non_object_payloads_are_document_errors(self, decoder, payload):
+        with pytest.raises(DocumentError):
+            DECODERS[decoder](payload)
+
+    @pytest.mark.parametrize("decoder", sorted(DECODERS))
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_json_value_decodes_or_is_a_document_error(self, decoder, data):
+        payload = data.draw(json_values | damaged(decoder))
+        try:
+            DECODERS[decoder](payload)
+        except DocumentError:
+            pass

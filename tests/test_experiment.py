@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qseal import experiment
 from qseal.errors import InvalidInputError
 from qseal.experiment import (
     CSV_HEADER,
@@ -204,6 +205,19 @@ class TestTrialConfig:
                 return_kind=ReturnKind.QUANTUM,
             )
 
+    @pytest.mark.parametrize(
+        "mode, bit_len",
+        [
+            (NarySymmetric(2), -1),
+            (NarySymmetric(2), 2),
+            (BinaryTcf(), -1),
+            (BinaryTcf(), 1),
+        ],
+    )
+    def test_rejects_widths_too_small_for_the_mode(self, mode, bit_len):
+        with pytest.raises(InvalidInputError):
+            config(mode=mode, bit_len=bit_len)
+
     def test_statistic_labels(self):
         assert config().statistic == "detection"
         assert (
@@ -239,6 +253,15 @@ class TestDeterminism:
         assert _spawned_rng(5, "trial", 7).random() == _spawned_rng(
             5, "trial", 7
         ).random()
+
+    def test_seed_range_is_signed_64_bit(self):
+        for seed in (2**63 - 1, -(2**63)):
+            _spawned_rng(seed, "trial", 0)
+        for seed in (2**63, -(2**63) - 1):
+            with pytest.raises(InvalidInputError):
+                _spawned_rng(seed, "trial", 0)
+            with pytest.raises(InvalidInputError):
+                run_trials(config(trials=1, seed=seed))
 
     def test_reports_reproduce_exactly(self):
         cfg = config(trials=1_500, seed=99)
@@ -367,6 +390,15 @@ class TestCurve:
     def test_rejects_k_max_below_two(self):
         with pytest.raises(InvalidInputError):
             fig1_curve(k_max=1, trials_per_point=10)
+
+    @pytest.mark.parametrize("k_max, bit_len", [(65, 16), (4, 3), (2, -1)])
+    def test_rejects_k_max_before_the_first_point(self, monkeypatch, k_max, bit_len):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a point ran before k_max was checked")
+
+        monkeypatch.setattr(experiment, "run_trials", no_trials)
+        with pytest.raises(InvalidInputError):
+            fig1_curve(k_max=k_max, trials_per_point=10, bit_len=bit_len)
 
     def test_csv_shape(self):
         points = [

@@ -1,0 +1,175 @@
+"""Golden gate: the exact bytes of CLI outputs for fixed seeds.
+
+Every file and every stdout below is pinned by its SHA-256.  Reruns of one
+build agreeing with each other say nothing about a refactor that changes
+the bytes; this test does.  A deliberate format change reprints the table
+with ``PYTHONPATH=src python tests/test_golden.py`` and says why in the
+change log.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from qseal.cli import main
+
+GOLDEN = {
+    "curve.stdout.console": "59f7617321e68d12f3dbda63308010220ee36f6b986e328ea847bce320eae05f",
+    "curve.workers1.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "curve.workers1.csv": "28e29a8ee3873e8cda3ce9626b3194a17ff6cad66c9bf896b53bcd32e49cde17",
+    "curve.workers3.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "curve.workers3.csv": "28e29a8ee3873e8cda3ce9626b3194a17ff6cad66c9bf896b53bcd32e49cde17",
+    "open.binary.console": "a0ebfd914a712701b8cd21a5c1cc66cbbc3fcd0c8e67e83cc4d5b6c91a961d06",
+    "open.nary.console": "86e7601bf04613ff07f99ec0998bdb9114210e1e3fc1a409b07d9b42c7d32d4d",
+    "respond.binary.guess.classical": "82d532c2650dc49244971e7e3729d5184fef1012a65fdc2dab5439431459c370",
+    "respond.binary.guess.classical.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "respond.binary.honest.classical": "bc31d18ebcabba5b6b4765abc437567d30d369ca77b4bd2abefd60ba062ef215",
+    "respond.binary.honest.classical.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "respond.binary.honest.quantum": "32b4e5feb66e1ecf6911da3ae9b59896709298bfe1785eec4d7035c8debd0fd1",
+    "respond.binary.honest.quantum.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "respond.binary.keep.quantum": "78a9b7d7a48e1430ced581e270ace217e944d2fb014a720bb92b4ea0b4bee1d5",
+    "respond.binary.keep.quantum.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "respond.nary.keep.quantum": "6c834e4d54f33db2e0b2c328e93f5a7e8d1f9ff3ef78328dd697e5b1e045ca03",
+    "respond.nary.keep.quantum.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "seal.binary.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "seal.binary.package": "8d9a0f9d0178a2f8b86c0ef707e9cb94e2de655677de4f87412464dedecdd710",
+    "seal.binary.secret": "3c2b5906316c6943adc6c270775dc73610b8565da04c0fb8918cadb02464e9c9",
+    "seal.nary.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "seal.nary.package": "73a3f645693fb77525f688e03731d77a78761ea7c37105c8cf88b87b87d669d7",
+    "seal.nary.secret": "05505ada16d39eab7e1d1b0741cbb77a0326c45b4f24d15f282b37b80a17fe95",
+    "simulate.binary.guess.classical.console": "f8efe6f1f6597a5ae5b56cbdb2a89148bf38ccab6b9cfc24c0949e496567b677",
+    "simulate.binary.guess.classical.csv": "eb09f9760dbe6638067619ae0b94db6755c9a449469edcc245e4c09d5692e7ac",
+    "simulate.binary.guess.classical.report": "e96ce1a626d2b5d37b18688f69f43089e0384b0e7e390d3246db0c75f17db389",
+    "simulate.binary.keep.helstrom.console": "d0ab8f3026e6122a6752b7e459c1d9c73ba7cb13f78901e1dff78d168f6c74b4",
+    "simulate.binary.keep.helstrom.csv": "1128fc5107784c2338e8731d00983685c4b6f410f7d931f2c37162919805ddad",
+    "simulate.binary.keep.helstrom.report": "b716763be2c39b1123531d40ff7a291842296960095c20cdcc483a63c58611a3",
+    "simulate.mixture.console": "27b733433f6100339bcf6b16607b1f789bcfec7acac78b1e75625c3dfe36c056",
+    "simulate.mixture.csv": "30954149f8a125696e79a3846724edc7b848442fb5fd92cda46441a439dfcdb0",
+    "simulate.mixture.report": "b9c3ccfc4db10040fd5015b26228649d9e8fcb5a996545a88534c0379f4f718d",
+    "simulate.nary.random.projective.console": "28c53d6bb580d0cc58ef26d1a78d159566b7ad6ef4b9865020d86300c7002632",
+    "simulate.nary.random.projective.csv": "eefd6cb9426af36d86b67c6a4f7aac655e4c87777a4683e96cbaddcb17735375",
+    "simulate.nary.random.projective.report": "3333c88101d8d9e8d801a6af93826ee507040894b867ba961b4b8c4e3378e014",
+    "verify.binary.guess.classical.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.guess.classical.projective.2.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.honest.classical.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.honest.classical.projective.2.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.honest.quantum.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.honest.quantum.projective.2.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.keep.quantum.helstrom.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.binary.keep.quantum.helstrom.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
+    "verify.nary.keep.quantum.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
+    "verify.nary.keep.quantum.projective.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
+}
+
+
+def _outputs(tmp: Path) -> dict[str, bytes]:
+    """Run a fixed CLI session; return each exit code with its stdout, and
+    each written file, by name."""
+    out: dict[str, bytes] = {}
+
+    def run(name: str, *argv: str) -> None:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main(list(argv))
+        out[f"{name}.console"] = f"exit {code}\n{buffer.getvalue()}".encode()
+
+    for mode, extra in (
+        ("binary", ()),
+        ("nary", ("--k", "5", "--secret", "00112233445566778899aabbccddeeff")),
+    ):
+        pkg, sec = tmp / f"{mode}-package.json", tmp / f"{mode}-secret.json"
+        run(
+            f"seal.{mode}", "seal", "--mode", mode, "--bits", "16", *extra,
+            "--seed", "7", "--out-package", str(pkg), "--out-secret", str(sec),
+        )
+        out[f"seal.{mode}.package"] = pkg.read_bytes()
+        out[f"seal.{mode}.secret"] = sec.read_bytes()
+        run(f"open.{mode}", "open", "--package", str(pkg), "--seed", "3")
+
+    binary_pkg, binary_sec = tmp / "binary-package.json", tmp / "binary-secret.json"
+    nary_pkg, nary_sec = tmp / "nary-package.json", tmp / "nary-secret.json"
+    responses = (
+        # name, package, strategy, kind
+        ("binary.honest.quantum", binary_pkg, "honest", "quantum"),
+        ("binary.honest.classical", binary_pkg, "honest", "classical"),
+        ("binary.keep.quantum", binary_pkg, "measure-keep", "quantum"),
+        ("binary.guess.classical", binary_pkg, "measure-guess-d", "classical"),
+        ("nary.keep.quantum", nary_pkg, "measure-keep", "quantum"),
+    )
+    for name, pkg, strategy, kind in responses:
+        ret = tmp / f"{name}.json"
+        run(
+            f"respond.{name}", "respond", "--package", str(pkg),
+            "--strategy", strategy, "--kind", kind, "--seed", "5",
+            "--out", str(ret),
+        )
+        out[f"respond.{name}"] = ret.read_bytes()
+
+    verifies = (
+        # name, secret record, method
+        ("binary.honest.quantum", binary_sec, "projective"),
+        ("binary.honest.classical", binary_sec, "projective"),
+        ("binary.keep.quantum", binary_sec, "helstrom"),
+        ("binary.guess.classical", binary_sec, "projective"),
+        ("nary.keep.quantum", nary_sec, "projective"),
+    )
+    for name, sec, method in verifies:
+        for seed in ("1", "2"):
+            run(
+                f"verify.{name}.{method}.{seed}", "verify", "--secret", str(sec),
+                "--return", str(tmp / f"{name}.json"), "--method", method,
+                "--seed", seed,
+            )
+
+    simulations = (
+        ("binary.keep.helstrom", "--strategy", "measure-keep", "--kind", "quantum",
+         "--method", "helstrom"),
+        ("nary.random.projective", "--mode", "nary", "--k", "3",
+         "--strategy", "measure-random-state", "--kind", "quantum",
+         "--method", "projective", "--bits", "4"),
+        ("binary.guess.classical", "--strategy", "measure-guess-d",
+         "--kind", "classical"),
+        ("mixture", "--mixture"),
+    )
+    for name, *flags in simulations:
+        csv, report = tmp / f"sim-{name}.csv", tmp / f"sim-{name}.json"
+        run(
+            f"simulate.{name}", "simulate", *flags, "--trials", "150",
+            "--seed", "9", "--csv", str(csv), "--out-report", str(report),
+        )
+        out[f"simulate.{name}.csv"] = csv.read_bytes()
+        out[f"simulate.{name}.report"] = report.read_bytes()
+
+    for workers in ("1", "3"):
+        csv = tmp / f"curve-{workers}.csv"
+        run(
+            f"curve.workers{workers}", "curve", "--k-max", "5", "--trials", "60",
+            "--seed", "4", "--workers", workers, "--out", str(csv),
+        )
+        out[f"curve.workers{workers}.csv"] = csv.read_bytes()
+    run("curve.stdout", "curve", "--k-max", "3", "--trials", "40", "--seed", "2")
+    return out
+
+
+def _digests(tmp: Path) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in sorted(_outputs(tmp).items())
+    }
+
+
+def test_outputs_are_byte_identical_to_the_pinned_digests(tmp_path):
+    assert _digests(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        sys.stdout.write("GOLDEN = {\n")
+        for name, digest in _digests(Path(scratch)).items():
+            sys.stdout.write(f'    "{name}": "{digest}",\n')
+        sys.stdout.write("}\n")

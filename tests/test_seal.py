@@ -30,6 +30,7 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_open,
     bob_respond,
+    check_width,
     compatible,
 )
 from qseal.sparsestate import singleton, uniform_superposition
@@ -48,6 +49,22 @@ def seal_nary(k: int = 3, seed: int = 0, bits: int = 16, secret: bytes = b"code"
 # ---------------------------------------------------------------------------
 # sealing
 # ---------------------------------------------------------------------------
+
+
+class TestCheckWidth:
+    def test_binary_widths_follow_the_function_family(self):
+        check_width(BinaryTcf(), 2)
+        for bits in (1, 0, -1):
+            with pytest.raises(InvalidInputError):
+                check_width(BinaryTcf(), bits)
+
+    @pytest.mark.parametrize("k, smallest", [(2, 3), (3, 4), (4, 4), (5, 5), (64, 8)])
+    def test_nary_widths_need_two_to_the_width_at_least_4k(self, k, smallest):
+        assert 2**smallest >= 4 * k > 2 ** (smallest - 1)
+        check_width(NarySymmetric(k), smallest)
+        for bits in (smallest - 1, 0, -1, -100):
+            with pytest.raises(InvalidInputError):
+                check_width(NarySymmetric(k), bits)
 
 
 class TestSealBinary:
@@ -100,6 +117,8 @@ class TestSealNary:
     def test_rejects_width_too_small_for_branch_count(self):
         with pytest.raises(InvalidInputError):
             alice_seal_nary(8, b"x", 4, Random(0))  # 2^4 < 4*8
+        with pytest.raises(InvalidInputError):
+            alice_seal_nary(2, b"x", -1, Random(0))
         alice_seal_nary(8, b"x", 5, Random(0))  # 2^5 == 4*8 is allowed
 
     def test_rejects_out_of_range_branch_count(self):

@@ -90,6 +90,13 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             SparseState(4, {bs(5, 1): 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(InvalidInputError):
+            SparseState(4, {bs(4, 1): bad})
+        with pytest.raises(InvalidInputError):
+            SparseState(4, {bs(4, 1): 1.0, bs(4, 2): bad})
+
     def test_norm_slack_within_tolerance_is_accepted(self):
         SparseState(4, {bs(4, 1): math.sqrt(0.5 + 4e-10), bs(4, 2): math.sqrt(0.5)})
 
