@@ -70,11 +70,11 @@ class BitString:
                 f"hex field for {bit_len} bits must have {expected} digits, "
                 f"got {len(text)}"
             )
-        try:
-            value = int(text, 16)
-        except ValueError as exc:
-            raise InvalidInputError(f"not a hex string: {text!r}") from exc
-        return cls(bit_len, value)
+        # Only the digits hex() writes (strip leaves any other character in
+        # place): int() would also take signs, spaces, "_", "0x" and A-F.
+        if text.strip("0123456789abcdef"):
+            raise InvalidInputError(f"not canonical lowercase hex: {text!r}")
+        return cls(bit_len, int(text, 16))
 
     @classmethod
     def random(cls, bit_len: int, rng: Random) -> BitString:

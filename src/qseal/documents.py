@@ -2,7 +2,8 @@
 
 Every file is one JSON object {"format_version": 1, "kind": ..., "payload":
 ...} rendered with sorted keys and no insignificant whitespace, so equal
-inputs produce byte-identical files.  Bit strings travel as fixed-width hex;
+inputs produce byte-identical files.  Bit strings (fixed-width) and bytes
+travel as lowercase hex, and only that canonical form is accepted on input;
 amplitudes travel in an exact form: ["root", p, q] meaning p/sqrt(q), with a
 hex-float fallback for anything else.  Round-tripping a document reproduces
 the in-memory value exactly.
@@ -138,10 +139,11 @@ def _bitstring_from_hex(bit_len: int, text: Any, field: str) -> BitString:
 
 
 def _bytes_from_hex(payload: dict[str, Any], field: str) -> bytes:
-    try:
-        return bytes.fromhex(_require(payload, field, str))
-    except ValueError as exc:
-        raise DocumentError(f"field {field!r} is not hex") from exc
+    text = _require(payload, field, str)
+    # Only what bytes.hex() writes: fromhex also takes spaces and uppercase.
+    if len(text) % 2 or text.strip("0123456789abcdef"):
+        raise DocumentError(f"field {field!r} is not canonical lowercase hex")
+    return bytes.fromhex(text)
 
 
 _Decoded = TypeVar("_Decoded")

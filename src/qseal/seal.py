@@ -81,6 +81,18 @@ def check_width(mode: SealMode, bit_len: int) -> None:
         )
 
 
+def check_register(mode: SealMode, state: SparseState) -> None:
+    """Raise InvalidInputError unless ``state`` is a register ``mode`` seals:
+    k = ``branch_count(mode)`` branches, each with amplitude 1/sqrt(k)."""
+    k = branch_count(mode)
+    if state.num_branches != k:
+        raise InvalidInputError(f"register must have {k} branches")
+    expected_amp = 1.0 / math.sqrt(k)
+    for amp in state.terms.values():
+        if not abs(amp - expected_amp) <= AMP_TOL:  # NaN fails too
+            raise InvalidInputError(f"register amplitudes must all be 1/sqrt({k})")
+
+
 class CheatStrategy(Enum):
     HONEST = "honest"
     # Read the register, send back whatever it collapsed to.
@@ -123,13 +135,12 @@ class SealPackage:
     def __post_init__(self) -> None:
         if self.register.bit_len != self.bit_len:
             raise InvalidInputError("register width does not match bit_len")
+        check_register(self.mode, self.register)
         if isinstance(self.mode, BinaryTcf):
             if self.tcf is None or self.ciphertexts is not None:
                 raise InvalidInputError(
                     "binary packages carry a function handle and no ciphertexts"
                 )
-            if self.register.num_branches != 2:
-                raise InvalidInputError("binary register must have 2 branches")
             first, second = self.register.branches
             if self.tcf.eval(first) != self.tcf.eval(second):
                 raise ProtocolCorruptionError(
@@ -141,17 +152,6 @@ class SealPackage:
                     "n-ary packages carry ciphertexts and no function handle"
                 )
             k = self.mode.k
-            if self.register.num_branches != k:
-                raise InvalidInputError(
-                    f"register must have {k} branches, found "
-                    f"{self.register.num_branches}"
-                )
-            expected_amp = 1.0 / math.sqrt(k)
-            for amp in self.register.terms.values():
-                if not abs(amp - expected_amp) <= AMP_TOL:  # NaN fails too
-                    raise InvalidInputError(
-                        "n-ary register amplitudes must all be 1/sqrt(k)"
-                    )
             if len(self.ciphertexts) != k:
                 raise InvalidInputError(
                     f"need {k} ciphertexts, found {len(self.ciphertexts)}"
@@ -175,14 +175,12 @@ class AliceSecret:
     original_state: SparseState
 
     def __post_init__(self) -> None:
-        if len(set(self.branches)) != len(self.branches):
-            raise InvalidInputError("branch strings must be distinct")
-        if len(self.branches) != branch_count(self.mode):
-            raise InvalidInputError("branch count does not match mode")
-        if set(self.branches) != set(self.original_state.branches):
-            raise InvalidInputError("retained state must span the branches")
-        if isinstance(self.mode, BinaryTcf) and self.trapdoor is None:
-            raise InvalidInputError("binary secrets retain the trapdoor")
+        check_register(self.mode, self.original_state)
+        if sorted(self.branches) != list(self.original_state.branches):
+            raise InvalidInputError("branches must be those of the retained state")
+        binary = isinstance(self.mode, BinaryTcf)
+        if self.trapdoor != (self.branches[0] ^ self.branches[1] if binary else None):
+            raise InvalidInputError("trapdoor must be x1 xor x2 (binary) or None")
 
     @property
     def bit_len(self) -> int:

@@ -1,10 +1,10 @@
 """Sparse statevectors over computational-basis bit strings.
 
 States here are real-amplitude superpositions of a handful of basis strings,
-stored as a map from BitString to amplitude.  All protocol states have at
-most a few dozen branches, so nothing ever materializes a dense 2^n vector;
-the one exception is the generic Hadamard-basis sampler, which enumerates
-outcomes and is capped at DENSE_ENUM_MAX_BITS.
+stored as a read-only map from BitString to amplitude.  All protocol states
+have at most a few dozen branches, so nothing ever materializes a dense 2^n
+vector: the Hadamard-basis sampler weighs the 2^r syndromes of the branch
+differences, r <= k - 1 their rank, and is capped at MAX_SYNDROME_RANK.
 
 Measurement routines draw from a caller-supplied random.Random so every
 sampling decision is reproducible from a seed.
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .bits import BitString
 from .errors import CapacityError, InvalidInputError
@@ -24,17 +25,17 @@ from .errors import CapacityError, InvalidInputError
 NORM_TOL = 1e-9
 # Tolerance when comparing individual amplitudes.
 AMP_TOL = 1e-12
-# hadamard_measure enumerates all 2^n outcomes for states with more than two
-# branches; refuse beyond this width.
-DENSE_ENUM_MAX_BITS = 20
+# hadamard_measure weighs 2^r syndromes, r the rank of the branch
+# differences; refuse beyond this rank.
+MAX_SYNDROME_RANK = 20
 
 
 @dataclass(frozen=True)
 class SparseState:
-    """Normalized sparse state.  Terms are kept sorted by basis string."""
+    """Normalized sparse state.  Terms are read-only, sorted by basis string."""
 
     bit_len: int
-    terms: dict[BitString, float]
+    terms: Mapping[BitString, float]
 
     def __post_init__(self) -> None:
         if self.bit_len < 1:
@@ -57,7 +58,7 @@ class SparseState:
                 f"squared amplitudes sum to {norm_sq!r}, expected 1"
             )
         # Canonical iteration order regardless of how the dict was built.
-        ordered = dict(sorted(self.terms.items()))
+        ordered = MappingProxyType(dict(sorted(self.terms.items())))
         object.__setattr__(self, "terms", ordered)
 
     @property
@@ -147,49 +148,46 @@ def hadamard_measure(state: SparseState, rng: Random) -> BitString:
     """Measure every qubit in the Hadamard basis; return the outcome string.
 
     The outcome d appears with probability proportional to
-    (sum_j amp_j * (-1)^(d.x_j))^2 over the state's terms x_j.
-
-    Single-branch states give a uniform d.  Two-branch states are sampled in
-    O(1): a uniform draw is folded onto the support {d : d.(x1 xor x2) = 0}
-    by flipping the lowest set bit of x1 xor x2 when the parity is odd.  Any
-    other branch count falls back to enumerating all 2^n outcomes, which is
-    refused above DENSE_ENUM_MAX_BITS.
+    (sum_j amp_j * (-1)^(d.x_j))^2 over the state's terms x_j, which depends
+    on d only through its syndrome: its parities against a basis of the
+    differences x_j xor x_1.  Each of the 2^r syndromes is weighed exactly
+    and has equally many preimages, so d is drawn uniformly (getrandbits) and
+    its pivot bits are flipped to match a syndrome drawn by weight (one
+    random() call, made only when more than one syndrome is possible).
+    Raises CapacityError when r exceeds MAX_SYNDROME_RANK.
     """
     n = state.bit_len
-    keys = state.branches
-    if len(keys) == 1:
-        return BitString(n, rng.getrandbits(n))
-    if len(keys) == 2:
-        diff = keys[0].value ^ keys[1].value
-        d = rng.getrandbits(n)
-        if (d & diff).bit_count() & 1:
-            d ^= diff & -diff
-        return BitString(n, d)
-    if n > DENSE_ENUM_MAX_BITS:
-        raise CapacityError(
-            f"dense outcome enumeration needs bit_len <= {DENSE_ENUM_MAX_BITS}, "
-            f"got {n}"
-        )
-    pairs = [(k.value, amp) for k, amp in state.terms.items()]
+    pairs = [(key.value, amp) for key, amp in state.terms.items()]
+    # Reduced basis: each vector's pivot, its lowest set bit, is clear in
+    # every other vector, so flipping one pivot of d flips one parity.  A
+    # pivot never moves once added; reps[s] holds the pivot bits of syndrome s.
+    basis: list[int] = []
+    reps = [0]
+    for value, _ in pairs:
+        diff = value ^ pairs[0][0]
+        for vector in basis:
+            if diff & vector & -vector:
+                diff ^= vector
+        if diff:
+            if len(basis) == MAX_SYNDROME_RANK:
+                raise CapacityError(
+                    f"branch differences have rank above {MAX_SYNDROME_RANK}"
+                )
+            basis = [v ^ diff if v & diff & -diff else v for v in basis] + [diff]
+            reps += [rep | (diff & -diff) for rep in reps]
     weights = []
-    total = 0.0
-    for d in range(1 << n):
+    for rep in reps:
         acc = 0.0
         for value, amp in pairs:
-            if (d & value).bit_count() & 1:
-                acc -= amp
-            else:
-                acc += amp
-        w = acc * acc
-        total += w
-        weights.append(w)
-    r = rng.random() * total
-    acc = 0.0
-    for d, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return BitString(n, d)
-    return BitString(n, (1 << n) - 1)
+            acc += -amp if (rep & value).bit_count() & 1 else amp
+        weights.append(acc * acc)
+    d = rng.getrandbits(n)
+    live = [s for s, w in enumerate(weights) if w > 0.0]
+    drawn = live[0] if len(live) == 1 else rng.choices(range(len(reps)), weights)[0]
+    observed = 0
+    for i, vector in enumerate(basis):
+        observed |= ((d & vector).bit_count() & 1) << i
+    return BitString(n, d ^ reps[observed ^ drawn])
 
 
 def helstrom_discriminate(

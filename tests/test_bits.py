@@ -54,6 +54,25 @@ def test_hex_round_trip_pads_to_width():
         BitString.from_hex(12, "zzz")
 
 
+@pytest.mark.parametrize(
+    "bit_len, text",
+    [
+        (8, "+1"),
+        (8, " 1"),
+        (8, "1 "),
+        (8, "-0"),
+        (8, "AB"),
+        (8, "aB"),
+        (12, "1_0"),
+        (16, "0x01"),
+        (16, "\uff10\uff10\uff10\uff11"),  # fullwidth digits int() also takes
+    ],
+)
+def test_from_hex_accepts_only_the_canonical_rendering(bit_len, text):
+    with pytest.raises(InvalidInputError, match="canonical"):
+        BitString.from_hex(bit_len, text)
+
+
 def test_encode_disambiguates_widths():
     # Same value at different widths must hash differently.
     assert BitString(8, 5).encode() != BitString(16, 5).encode()

@@ -165,6 +165,33 @@ class TestSealOpen:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "path, rewrite",
+        [
+            (("register", "terms", 0, 0), lambda text: "+" + text[1:]),
+            (("register", "terms", 1, 0), str.upper),
+            (("tcf", "salt"), lambda text: text[:2] + " " + text[2:]),
+            (("tcf", "shift"), str.upper),
+        ],
+        ids=["signed-key", "uppercase-key", "spaced-salt", "uppercase-shift"],
+    )
+    def test_open_non_canonical_hex_is_integrity_error(
+        self, binary_files, tmp_path, capsys, path, rewrite
+    ):
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        parent = doc["payload"]
+        for step in path[:-1]:
+            parent = parent[step]
+        original = parent[path[-1]]
+        parent[path[-1]] = rewrite(original)
+        assert int(parent[path[-1]].replace(" ", ""), 16) == int(original, 16)
+        assert parent[path[-1]] != original
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("open", "--package", str(bad)) == 3
+        assert "canonical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "raw",
         [b"\xff\xfe\x00garbage", b"1" * 5000, b"[" * 100_000],
         ids=["undecodable", "long-integer", "deep-nesting"],
@@ -303,6 +330,54 @@ class TestRespondVerify:
             )
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_sign_flipped_documents_are_integrity_errors(
+        self, binary_files, tmp_path, capsys
+    ):
+        pkg, sec = binary_files
+        ret = tmp_path / "ret.json"
+        run(
+            "respond", "--package", str(pkg), "--strategy", "honest",
+            "--kind", "classical", "--seed", "1", "--out", str(ret),
+        )
+        flipped = {}
+        for name, path, field in (("package", pkg, "register"),
+                                  ("secret", sec, "original_state")):
+            doc = json.loads(path.read_text())
+            terms = doc["payload"][field]["terms"]
+            assert terms[1][1] == ["root", 1, 2]
+            terms[1][1] = ["root", -1, 2]
+            flipped[name] = tmp_path / f"flipped-{name}.json"
+            flipped[name].write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("open", "--package", str(flipped["package"])) == 3
+        assert (
+            run(
+                "respond", "--package", str(flipped["package"]),
+                "--strategy", "honest", "--kind", "classical", "--seed", "1",
+                "--out", str(tmp_path / "r.json"),
+            )
+            == 3
+        )
+        assert (
+            run("verify", "--secret", str(flipped["secret"]), "--return", str(ret))
+            == 3
+        )
+        assert capsys.readouterr().err.count("1/sqrt(2)") == 3
+
+    def test_wrong_trapdoor_is_rejected_by_verify(self, binary_files, tmp_path):
+        pkg, sec = binary_files
+        ret = tmp_path / "ret.json"
+        run(
+            "respond", "--package", str(pkg), "--strategy", "honest",
+            "--kind", "classical", "--seed", "1", "--out", str(ret),
+        )
+        doc = json.loads(sec.read_text())
+        trapdoor = int(doc["payload"]["trapdoor"], 16)
+        doc["payload"]["trapdoor"] = format(trapdoor ^ 1, "04x")
+        bad = tmp_path / "bad-secret.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", "--secret", str(bad), "--return", str(ret)) == 3
 
     def test_tampered_package_is_rejected_by_respond(self, binary_files, tmp_path):
         pkg, _ = binary_files

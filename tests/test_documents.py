@@ -377,3 +377,77 @@ class TestDecodeBoundary:
             DECODERS[decoder](payload)
         except DocumentError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# canonical hex and the sealed-register rule on input
+# ---------------------------------------------------------------------------
+
+
+def _spaced(text: str) -> str:
+    return text[:2] + " " + text[2:]
+
+
+def _at(payload: dict, path: tuple) -> tuple[dict, object]:
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    return parent, path[-1]
+
+
+class TestCanonicalInput:
+    @pytest.mark.parametrize(
+        "decoder, index, path, rewrite",
+        [
+            ("state", 0, ("terms", 1, 0), str.upper),
+            ("package", 0, ("register", "terms", 1, 0), str.upper),
+            ("package", 0, ("tcf", "salt"), str.upper),
+            ("package", 0, ("tcf", "salt"), _spaced),
+            ("package", 0, ("tcf", "shift"), str.upper),
+            ("package", 1, ("ciphertexts", 0, "key_tag"), _spaced),
+            ("package", 1, ("ciphertexts", 2, "body"), str.upper),
+            ("secret", 0, ("secret",), _spaced),
+            ("secret", 0, ("branches", 1), str.upper),
+            ("secret", 0, ("trapdoor",), str.upper),
+            ("secret", 1, ("original_state", "terms", 2, 0), str.upper),
+            ("return", 1, ("mask",), str.upper),
+        ],
+    )
+    def test_non_canonical_hex_is_a_document_error(
+        self, decoder, index, path, rewrite
+    ):
+        payload = copy.deepcopy(VALID[decoder][index])
+        DECODERS[decoder](payload)
+        parent, key = _at(payload, path)
+        rewritten = rewrite(parent[key])
+        assert rewritten != parent[key]
+        parent[key] = rewritten
+        with pytest.raises(DocumentError, match="canonical"):
+            DECODERS[decoder](payload)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["binary", "nary"])
+    def test_wrong_trapdoor_is_a_document_error(self, index):
+        payload = copy.deepcopy(VALID["secret"][index])
+        payload["trapdoor"] = "0001"
+        with pytest.raises(DocumentError, match="trapdoor"):
+            documents.secret_from_payload(payload)
+
+    def test_nary_secret_without_trapdoor_field_loads(self):
+        payload = copy.deepcopy(VALID["secret"][1])
+        del payload["trapdoor"]
+        assert documents.secret_from_payload(payload).trapdoor is None
+
+    @pytest.mark.parametrize(
+        "decoder, path",
+        [
+            ("package", ("register", "terms", 1, 1)),
+            ("secret", ("original_state", "terms", 1, 1)),
+        ],
+    )
+    def test_sign_flipped_binary_register_is_a_document_error(self, decoder, path):
+        payload = copy.deepcopy(VALID[decoder][0])
+        parent, key = _at(payload, path)
+        assert parent[key] == ["root", 1, 2]
+        parent[key] = ["root", -1, 2]
+        with pytest.raises(DocumentError, match="1/sqrt"):
+            DECODERS[decoder](payload)

@@ -64,6 +64,10 @@ GOLDEN = {
     "verify.binary.keep.quantum.helstrom.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
     "verify.nary.keep.quantum.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
     "verify.nary.keep.quantum.projective.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
+    # An honest Hadamard answer to a 5-branch seal: the syndrome sampler
+    # draws getrandbits(n) before random(), and this entry pins that order.
+    "respond.nary.honest.classical": "d6f85b9f25159562abee802c3d2737d97c114378c9ba49f0ff0ec62772935794",
+    "respond.nary.honest.classical.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
 }
 
 
@@ -100,6 +104,7 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
         ("binary.keep.quantum", binary_pkg, "measure-keep", "quantum"),
         ("binary.guess.classical", binary_pkg, "measure-guess-d", "classical"),
         ("nary.keep.quantum", nary_pkg, "measure-keep", "quantum"),
+        ("nary.honest.classical", nary_pkg, "honest", "classical"),
     )
     for name, pkg, strategy, kind in responses:
         ret = tmp / f"{name}.json"

@@ -30,10 +30,11 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_open,
     bob_respond,
+    check_register,
     check_width,
     compatible,
 )
-from qseal.sparsestate import singleton, uniform_superposition
+from qseal.sparsestate import SparseState, singleton, uniform_superposition
 from qseal.symcrypto import enc
 from qseal.tcf import TcfParams
 
@@ -65,6 +66,34 @@ class TestCheckWidth:
         for bits in (smallest - 1, 0, -1, -100):
             with pytest.raises(InvalidInputError):
                 check_width(NarySymmetric(k), bits)
+
+
+class TestCheckRegister:
+    @pytest.mark.parametrize("mode", [BinaryTcf(), NarySymmetric(2), NarySymmetric(5)])
+    def test_uniform_register_of_the_mode_passes(self, mode):
+        k = 2 if isinstance(mode, BinaryTcf) else mode.k
+        state = uniform_superposition(BitString(8, v) for v in range(k))
+        check_register(mode, state)
+
+    @pytest.mark.parametrize("mode", [BinaryTcf(), NarySymmetric(3)])
+    def test_wrong_branch_count_is_rejected(self, mode):
+        state = uniform_superposition(BitString(8, v) for v in range(4))
+        with pytest.raises(InvalidInputError, match="branches"):
+            check_register(mode, state)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [(1, -1), (-1, 1), (-1, -1), (0.8, 0.6)],
+        ids=["second-negative", "first-negative", "both-negative", "lopsided"],
+    )
+    def test_non_uniform_amplitudes_are_rejected(self, amps):
+        norm = math.sqrt(sum(a * a for a in amps))
+        state = SparseState(
+            8, {BitString(8, v): a / norm for v, a in zip((3, 9), amps)}
+        )
+        for mode in (BinaryTcf(), NarySymmetric(2)):
+            with pytest.raises(InvalidInputError, match="1/sqrt"):
+                check_register(mode, state)
 
 
 class TestSealBinary:
@@ -170,6 +199,14 @@ class TestPackageInvariants:
                 package.register,
                 ciphertexts=package.ciphertexts[:-1],
             )
+
+    def test_binary_register_must_be_uniform(self):
+        package, _ = seal_binary()
+        x1, x2 = package.register.branches
+        amp = 1.0 / math.sqrt(2.0)
+        flipped = SparseState(16, {x1: amp, x2: -amp})
+        with pytest.raises(InvalidInputError, match="1/sqrt"):
+            SealPackage(BinaryTcf(), 16, flipped, tcf=package.tcf)
 
     def test_nary_register_must_be_uniform(self):
         package, record = seal_nary(k=2)
@@ -492,5 +529,64 @@ class TestAliceSecret:
                 secret=record.secret,
                 branches=record.branches,
                 trapdoor=None,
+                original_state=record.original_state,
+            )
+
+    def test_original_state_must_be_uniform(self):
+        _, record = seal_binary()
+        x1, x2 = sorted(record.branches)
+        amp = 1.0 / math.sqrt(2.0)
+        with pytest.raises(InvalidInputError, match="1/sqrt"):
+            AliceSecret(
+                mode=BinaryTcf(),
+                secret=record.secret,
+                branches=record.branches,
+                trapdoor=record.trapdoor,
+                original_state=SparseState(16, {x1: -amp, x2: amp}),
+            )
+
+    def test_branches_may_come_in_any_order(self):
+        _, record = seal_nary(k=4)
+        reordered = AliceSecret(
+            mode=record.mode,
+            secret=record.secret,
+            branches=tuple(reversed(record.branches)),
+            trapdoor=None,
+            original_state=record.original_state,
+        )
+        assert set(reordered.branches) == set(record.branches)
+
+    def test_branch_count_must_match_mode(self):
+        _, record = seal_nary(k=3)
+        with pytest.raises(InvalidInputError):
+            AliceSecret(
+                mode=NarySymmetric(4),
+                secret=record.secret,
+                branches=record.branches,
+                trapdoor=None,
+                original_state=record.original_state,
+            )
+
+    def test_binary_trapdoor_must_be_the_branch_difference(self):
+        _, record = seal_binary()
+        wrong = record.trapdoor ^ BitString(16, 1)
+        with pytest.raises(InvalidInputError, match="trapdoor"):
+            AliceSecret(
+                mode=BinaryTcf(),
+                secret=record.secret,
+                branches=record.branches,
+                trapdoor=wrong,
+                original_state=record.original_state,
+            )
+
+    def test_nary_secrets_retain_no_trapdoor(self):
+        _, record = seal_nary(k=2)
+        x1, x2 = record.branches
+        with pytest.raises(InvalidInputError, match="trapdoor"):
+            AliceSecret(
+                mode=record.mode,
+                secret=record.secret,
+                branches=record.branches,
+                trapdoor=x1 ^ x2,
                 original_state=record.original_state,
             )

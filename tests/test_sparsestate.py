@@ -109,6 +109,14 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             uniform_superposition([bs(4, 1), bs(4, 1)])
 
+    def test_terms_are_read_only(self):
+        state = uniform(4, 1, 2)
+        with pytest.raises(TypeError):
+            state.terms[bs(4, 1)] = 5.0
+        with pytest.raises(TypeError):
+            del state.terms[bs(4, 2)]
+        assert state.isclose(uniform(4, 1, 2))
+
     def test_wide_registers_work(self):
         state = uniform(256, 1, (1 << 256) - 1, 17)
         assert state.bit_len == 256
@@ -277,8 +285,77 @@ class TestHadamardMeasure:
         assert outcome.bit_len == 256
         assert outcome.dot(bs(256, 3)) == 0
 
-    def test_many_branch_wide_state_hits_capacity_error(self):
+    def test_sign_flipped_two_branch_outcomes_have_odd_parity(self):
+        amp = 1.0 / math.sqrt(2.0)
+        state = SparseState(16, {bs(16, 0x1234): amp, bs(16, 0x5678): -amp})
+        diff = bs(16, 0x1234 ^ 0x5678)
+        rng = Random(7)
+        for _ in range(2000):
+            assert hadamard_measure(state, rng).dot(diff) == 1
+
+    @pytest.mark.parametrize("seed, k", [(31, 2), (32, 3), (33, 4)])
+    def test_random_amplitudes_match_dense_oracle(self, seed, k):
+        gen = Random(seed)
+        keys = gen.sample(range(64), k)
+        raw = [gen.uniform(-1.0, 1.0) for _ in keys]
+        norm = math.sqrt(sum(a * a for a in raw))
+        state = SparseState(6, {bs(6, v): a / norm for v, a in zip(keys, raw)})
+        probs = dense_hadamard_distribution(state)
+        rng = Random(seed)
+        draws = 50_000
+        empirical = Counter(hadamard_measure(state, rng).value for _ in range(draws))
+        assert total_variation(empirical, probs, draws) < 0.03
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.integers(min_value=0, max_value=(1 << n) - 1),
+                    min_size=1,
+                    max_size=min(6, 1 << n),
+                    unique=True,
+                ),
+            )
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from([1.0, -1.0]),
+                st.floats(min_value=-1.0, max_value=1.0).filter(
+                    lambda a: abs(a) > 1e-3
+                ),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_outcomes_lie_in_the_dense_support(self, shape, raw, seed):
+        n, keys = shape
+        amps = raw[: len(keys)]
+        norm = math.sqrt(sum(a * a for a in amps))
+        state = SparseState(n, {bs(n, v): a / norm for v, a in zip(keys, amps)})
+        probs = dense_hadamard_distribution(state)
+        rng = Random(seed)
+        for _ in range(20):
+            assert probs[hadamard_measure(state, rng).value] > 1e-12
+
+    def test_few_branches_sample_at_any_width(self):
+        # Branch differences 3 and 2 have rank 2, so only bits 0 and 1 of d
+        # matter: p = (3/4, 1/12, 1/12, 1/12) for d mod 4 = 0, 1, 2, 3.
         state = uniform(24, 1, 2, 3)
+        rng = Random(0)
+        draws = 12_000
+        outcomes = [hadamard_measure(state, rng) for _ in range(draws)]
+        assert all(outcome.bit_len == 24 for outcome in outcomes)
+        counts = Counter(outcome.value & 0b11 for outcome in outcomes)
+        for low, p in enumerate((0.75, 1 / 12, 1 / 12, 1 / 12)):
+            assert abs(counts[low] / draws - p) < 0.015
+        assert len({outcome.value >> 2 for outcome in outcomes}) > draws // 2
+
+    def test_rank_above_cap_hits_capacity_error(self):
+        state = uniform(24, 0, *(1 << i for i in range(21)))
         with pytest.raises(CapacityError):
             hadamard_measure(state, Random(0))
 
