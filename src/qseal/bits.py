@@ -8,7 +8,6 @@ the value fits a machine word.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from random import Random
 
@@ -55,7 +54,9 @@ class BitString:
 
     def encode(self) -> bytes:
         """Unambiguous byte encoding (width prefix + value), for hashing."""
-        return struct.pack(">I", self.bit_len) + self.packed
+        return self.bit_len.to_bytes(4, "big") + self.value.to_bytes(
+            (self.bit_len + 7) // 8, "big"
+        )
 
     def hex(self) -> str:
         return format(self.value, f"0{(self.bit_len + 3) // 4}x")

@@ -16,8 +16,10 @@ and what goes back on the wire.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from random import Random
 
 from .bits import BitString
@@ -156,9 +158,9 @@ class SealPackage:
                 raise InvalidInputError(
                     f"need {k} ciphertexts, found {len(self.ciphertexts)}"
                 )
-            tags = [ct.key_tag for ct in self.ciphertexts]
+            tag_counts = Counter(ct.key_tag for ct in self.ciphertexts)
             for branch in self.register.branches:
-                if tags.count(key_tag(branch)) != 1:
+                if tag_counts[key_tag(branch)] != 1:
                     raise ProtocolCorruptionError(
                         f"branch {branch.hex()} must match exactly one ciphertext"
                     )
@@ -176,7 +178,10 @@ class AliceSecret:
 
     def __post_init__(self) -> None:
         check_register(self.mode, self.original_state)
-        if sorted(self.branches) != list(self.original_state.branches):
+        # The state's terms share one width and are in value order; sorting
+        # by value reproduces that order exactly when these are its branches.
+        by_value = sorted(self.branches, key=attrgetter("value"))
+        if by_value != list(self.original_state.branches):
             raise InvalidInputError("branches must be those of the retained state")
         binary = isinstance(self.mode, BinaryTcf)
         if self.trapdoor != (self.branches[0] ^ self.branches[1] if binary else None):
@@ -243,14 +248,12 @@ def alice_seal_nary(
     if not secret:
         raise InvalidInputError("secret must be nonempty")
     check_width(mode, bit_len)
-    chosen: list[BitString] = []
-    seen: set[BitString] = set()
-    while len(chosen) < k:
-        candidate = BitString.random(bit_len, rng)
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        chosen.append(candidate)
+    # Rejection sampling: a repeated draw leaves the dict, and the order of
+    # first draws, unchanged.
+    values: dict[int, None] = {}
+    while len(values) < k:
+        values[rng.getrandbits(bit_len)] = None
+    chosen = [BitString(bit_len, value) for value in values]
     register = uniform_superposition(chosen)
     package = SealPackage(
         mode=mode,

@@ -58,8 +58,13 @@ class SparseState:
                 f"squared amplitudes sum to {norm_sq!r}, expected 1"
             )
         # Canonical iteration order regardless of how the dict was built.
-        ordered = MappingProxyType(dict(sorted(self.terms.items())))
-        object.__setattr__(self, "terms", ordered)
+        # Every key has this state's width, so value order is BitString order.
+        ordered = dict(sorted(self.terms.items(), key=lambda term: term[0].value))
+        object.__setattr__(self, "terms", MappingProxyType(ordered))
+
+    def __hash__(self) -> int:
+        # Terms are in canonical order, so equal states give equal tuples.
+        return hash((self.bit_len, tuple(self.terms.items())))
 
     @property
     def num_branches(self) -> int:
@@ -92,13 +97,10 @@ def uniform_superposition(strings: Iterable[BitString]) -> SparseState:
     keys = list(strings)
     if not keys:
         raise InvalidInputError("need at least one basis string")
-    width = keys[0].bit_len
-    if any(k.bit_len != width for k in keys):
-        raise InvalidInputError("all basis strings must share one width")
-    if len(set(keys)) != len(keys):
+    terms = dict.fromkeys(keys, 1.0 / math.sqrt(len(keys)))
+    if len(terms) != len(keys):
         raise InvalidInputError("basis strings must be distinct")
-    amp = 1.0 / math.sqrt(len(keys))
-    return SparseState(width, {k: amp for k in keys})
+    return SparseState(keys[0].bit_len, terms)
 
 
 def inner_product(a: SparseState, b: SparseState) -> float:

@@ -10,7 +10,6 @@ ciphertext to key reveals nothing beyond what the protocol already shares.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,30 +30,35 @@ class Ciphertext:
 
 
 def key_tag(key: BitString) -> bytes:
-    return hashlib.sha256(_TAG_PREFIX + key.encode()).digest()[:TAG_BYTES]
+    return _tag(key.encode())
 
 
-def _keystream(key: BitString, length: int) -> bytes:
-    material = _STREAM_PREFIX + key.encode()
-    blocks = []
-    for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
-        blocks.append(
-            hashlib.sha256(material + struct.pack(">Q", counter)).digest()
-        )
-    return b"".join(blocks)[:length]
+def _tag(encoded_key: bytes) -> bytes:
+    return hashlib.sha256(_TAG_PREFIX + encoded_key).digest()[:TAG_BYTES]
+
+
+def _xor_keystream(encoded_key: bytes, data: bytes) -> bytes:
+    """``data`` XOR the SHA-256 counter keystream of the encoded key."""
+    material = _STREAM_PREFIX + encoded_key
+    length = len(data)
+    stream = b"".join([
+        hashlib.sha256(material + counter.to_bytes(8, "big")).digest()
+        for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES)
+    ])
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:length], "big")
+    return mixed.to_bytes(length, "big")
 
 
 def enc(key: BitString, message: bytes) -> Ciphertext:
-    stream = _keystream(key, len(message))
-    body = bytes(m ^ s for m, s in zip(message, stream))
-    return Ciphertext(key_tag(key), body)
+    encoded_key = key.encode()
+    return Ciphertext(_tag(encoded_key), _xor_keystream(encoded_key, message))
 
 
 def dec(key: BitString, ciphertext: Ciphertext) -> bytes:
-    if ciphertext.key_tag != key_tag(key):
+    encoded_key = key.encode()
+    if ciphertext.key_tag != _tag(encoded_key):
         raise KeyMismatchError("ciphertext tag does not match this key")
-    stream = _keystream(key, len(ciphertext.body))
-    return bytes(c ^ s for c, s in zip(ciphertext.body, stream))
+    return _xor_keystream(encoded_key, ciphertext.body)
 
 
 def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:

@@ -68,6 +68,9 @@ GOLDEN = {
     # draws getrandbits(n) before random(), and this entry pins that order.
     "respond.nary.honest.classical": "d6f85b9f25159562abee802c3d2737d97c114378c9ba49f0ff0ec62772935794",
     "respond.nary.honest.classical.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    # The sweep the benchmark's curve-nary workload runs: k = 2..32 at 16 bits.
+    "curve.bench.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "curve.bench.csv": "7b3a7a0b52e49cc9d630b5b4223d41e74829c0ece18cd6d308fad8b6137b481f",
 }
 
 
@@ -158,6 +161,12 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
         )
         out[f"curve.workers{workers}.csv"] = csv.read_bytes()
     run("curve.stdout", "curve", "--k-max", "3", "--trials", "40", "--seed", "2")
+    csv = tmp / "curve-bench.csv"
+    run(
+        "curve.bench", "curve", "--k-max", "32", "--trials", "64", "--bits", "16",
+        "--seed", "6", "--out", str(csv),
+    )
+    out["curve.bench.csv"] = csv.read_bytes()
     return out
 
 

@@ -156,6 +156,22 @@ class TestSealNary:
         with pytest.raises(InvalidInputError):
             alice_seal_nary(65, b"x", 16, Random(0))
 
+    def test_branch_draws_match_a_rejection_loop(self):
+        # 32 branches from 2^7 strings: most seeds redraw at least once.
+        # The branches, their order and the stream left behind must match
+        # a plain rejection loop over BitString.random.
+        for seed in range(200):
+            reference_rng = Random(seed)
+            expected: list[BitString] = []
+            while len(expected) < 32:
+                candidate = BitString.random(7, reference_rng)
+                if candidate not in expected:
+                    expected.append(candidate)
+            rng = Random(seed)
+            _, record = alice_seal_nary(32, b"x", 7, rng)
+            assert record.branches == tuple(expected)
+            assert rng.random() == reference_rng.random()
+
     def test_branch_resampling_survives_collisions(self):
         # Tight width forces duplicate draws; sealing must still finish
         # with distinct branches.
@@ -188,6 +204,14 @@ class TestPackageInvariants:
         with pytest.raises(ProtocolCorruptionError):
             SealPackage(
                 NarySymmetric(3), 16, package.register, ciphertexts=dropped
+            )
+
+    def test_nary_package_rejects_a_tag_matched_twice(self):
+        package, _ = seal_nary(k=3)
+        doubled = package.ciphertexts[:-1] + package.ciphertexts[:1]
+        with pytest.raises(ProtocolCorruptionError, match="exactly one"):
+            SealPackage(
+                NarySymmetric(3), 16, package.register, ciphertexts=doubled
             )
 
     def test_nary_package_checks_counts(self):
@@ -311,6 +335,7 @@ class TestRespond:
         )
         assert isinstance(message, QuantumReturn)
         assert message.state == package.register
+        assert hash(message) == hash(QuantumReturn(package.register))
 
     def test_honest_classical_masks_satisfy_the_parity_relation(self):
         rng = Random(3)
@@ -555,6 +580,19 @@ class TestAliceSecret:
             original_state=record.original_state,
         )
         assert set(reordered.branches) == set(record.branches)
+
+    def test_branch_of_another_width_is_rejected(self):
+        # Same value, wider string: not a branch of the retained state.
+        _, record = seal_nary(k=3)
+        first, *rest = record.branches
+        with pytest.raises(InvalidInputError, match="branches"):
+            AliceSecret(
+                mode=record.mode,
+                secret=record.secret,
+                branches=(BitString(17, first.value), *rest),
+                trapdoor=None,
+                original_state=record.original_state,
+            )
 
     def test_branch_count_must_match_mode(self):
         _, record = seal_nary(k=3)

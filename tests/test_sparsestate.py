@@ -109,6 +109,25 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             uniform_superposition([bs(4, 1), bs(4, 1)])
 
+    def test_uniform_superposition_rejects_mixed_widths(self):
+        with pytest.raises(InvalidInputError):
+            uniform_superposition([bs(4, 1), bs(5, 2)])
+        with pytest.raises(InvalidInputError):
+            uniform_superposition([bs(4, 1), bs(5, 1)])
+
+    def test_equal_states_hash_equal(self):
+        amp = 0.5**0.5
+        a = SparseState(4, {bs(4, 9): amp, bs(4, 2): -amp})
+        b = SparseState(4, {bs(4, 2): -amp, bs(4, 9): amp})
+        assert a == b and hash(a) == hash(b)
+        assert hash(singleton(bs(4, 1))) == hash(singleton(bs(4, 1)))
+
+    def test_state_can_key_a_dict(self):
+        seen = {singleton(bs(4, 1)): "one", uniform(4, 1, 2): "pair"}
+        assert seen[uniform(4, 2, 1)] == "pair"
+        assert seen[singleton(bs(4, 1))] == "one"
+        assert singleton(bs(8, 1)) not in seen
+
     def test_terms_are_read_only(self):
         state = uniform(4, 1, 2)
         with pytest.raises(TypeError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,30 @@ def test_golden_ciphertext():
     ct = enc(BitString(16, 0xBEEF), b"attack at dawn")
     assert ct.key_tag.hex() == GOLDEN_TAG
     assert ct.body.hex() == GOLDEN_BODY
+
+
+# SHA-256 of the ciphertext body for key 0xbeef (width 16) and message
+# bytes (7 * i + 3) % 256, by message length: below, at and across the
+# 32-byte keystream block.
+GOLDEN_BODY_SHA256 = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "189f40034be7a199f1fa9891668ee3ab6049f82d38c68be70f596eab2e1857b7",
+    16: "3eab7d50331588ae8a454df21095adca1495ff7452a49313fb8cdf28e2f520cc",
+    31: "41c5cc318aaaa4fdf6e1faa3faa3f456bd330260967ae3c69d94661561731944",
+    32: "fa269d8bbbb19f78eb6d9a6207d539207004a4a9e1cc4416b8d4ae88743360a3",
+    33: "3ef02d88bb76a903ddae3682ecc4cabd6ba82e29d457fd9dd3decd954afd25f5",
+    100: "b0b7a2eea38f0096df95bced270a8d116b38549f9a09719f043de9b5f50f0066",
+}
+
+
+@pytest.mark.parametrize("length", sorted(GOLDEN_BODY_SHA256))
+def test_known_answer_bodies(length):
+    key = BitString(16, 0xBEEF)
+    message = bytes((7 * i + 3) % 256 for i in range(length))
+    ct = enc(key, message)
+    assert ct.key_tag.hex() == GOLDEN_TAG
+    assert hashlib.sha256(ct.body).hexdigest() == GOLDEN_BODY_SHA256[length]
+    assert dec(key, ct) == message
 
 
 def test_round_trip():
