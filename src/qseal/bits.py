@@ -42,16 +42,6 @@ class BitString:
             )
         return (self.value & other.value).bit_count() & 1
 
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.bit_len:
-            raise InvalidInputError(f"bit index {index} out of range")
-        return (self.value >> index) & 1
-
-    @property
-    def packed(self) -> bytes:
-        """Value as big-endian bytes, zero-padded to the width."""
-        return self.value.to_bytes((self.bit_len + 7) // 8, "big")
-
     def encode(self) -> bytes:
         """Unambiguous byte encoding (width prefix + value), for hashing."""
         return self.bit_len.to_bytes(4, "big") + self.value.to_bytes(
@@ -82,10 +72,6 @@ class BitString:
         if bit_len < 1:
             raise InvalidInputError(f"bit_len must be >= 1, got {bit_len}")
         return cls(bit_len, rng.getrandbits(bit_len))
-
-    @classmethod
-    def zeros(cls, bit_len: int) -> BitString:
-        return cls(bit_len, 0)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.bit_len}b")

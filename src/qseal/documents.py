@@ -51,6 +51,11 @@ _KINDS = (KIND_PACKAGE, KIND_SECRET, KIND_RETURN, KIND_REPORT)
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: true, false and 1.0 compare equal to ints but are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dumps_document(kind: str, payload: dict[str, Any]) -> str:
     if kind not in _KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
@@ -69,10 +74,9 @@ def parse_document(
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DocumentError(
-            f"unsupported format_version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     if kind not in _KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
@@ -106,8 +110,9 @@ def decode_amplitude(value: Any) -> float:
             isinstance(value, list)
             and len(value) == 3
             and value[0] == "root"
+            and _is_int(value[1])
             and value[1] in (-1, 1)
-            and isinstance(value[2], int)
+            and _is_int(value[2])
             and value[2] >= 1
         ):
             return value[1] / math.sqrt(value[2])
@@ -127,7 +132,7 @@ def _require(payload: dict[str, Any], field: str, kind: type) -> Any:
     if field not in payload:
         raise DocumentError(f"missing field {field!r}")
     value = payload[field]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise DocumentError(f"field {field!r} must be {kind.__name__}")
     return value
 
@@ -233,12 +238,12 @@ def package_to_document(package: SealPackage) -> str:
         "register": state_to_payload(package.register),
     }
     if package.tcf is not None:
-        params, salt, shift = package.tcf.export_parts()
+        tcf = package.tcf
         payload["tcf"] = {
-            "bit_len": params.bit_len,
-            "image_bits": params.image_bits,
-            "salt": salt.hex(),
-            "shift": shift.hex(),
+            "bit_len": tcf.params.bit_len,
+            "image_bits": tcf.params.image_bits,
+            "salt": tcf.salt.hex(),
+            "shift": tcf.shift.hex(),
         }
     if package.ciphertexts is not None:
         payload["ciphertexts"] = [

@@ -19,10 +19,6 @@ class CapacityError(QsealError):
     """The requested operation exceeds a configured size cap."""
 
 
-class KeyMismatchError(QsealError):
-    """A ciphertext was presented to a key whose tag does not match."""
-
-
 class TagNotFoundError(QsealError):
     """No ciphertext in the collection carries the key's tag."""
 

@@ -24,8 +24,10 @@ from random import Random
 
 from .bits import BitString
 from .errors import (
+    AmbiguousTagError,
     InvalidInputError,
     ProtocolCorruptionError,
+    TagNotFoundError,
     UnsupportedModeError,
 )
 from .sparsestate import (
@@ -290,7 +292,7 @@ def bob_open(package: SealPackage, rng: Random) -> bytes:
     assert package.ciphertexts is not None
     try:
         return find_and_dec(outcome, package.ciphertexts)
-    except Exception as exc:
+    except (TagNotFoundError, AmbiguousTagError) as exc:
         raise ProtocolCorruptionError(
             "measured branch does not open any ciphertext"
         ) from exc
@@ -347,10 +349,10 @@ def alice_verify_quantum(
     reported.  The alternative defaults to the returned state itself, which
     models a verifier told what a cheater would have sent; a returned state
     equal to the original leaves nothing to test and is accepted outright.
+    A state of another width, or an alternative equal to the original,
+    raises InvalidInputError before any draw.
     """
     original = record.original_state
-    if returned.bit_len != original.bit_len:
-        raise InvalidInputError("returned state width does not match the seal")
     if method is VerifyMethod.PROJECTIVE:
         overlap = inner_product(original, returned)
         return rng.random() < overlap * overlap
@@ -358,10 +360,6 @@ def alice_verify_quantum(
         if returned.isclose(original):
             return True
         alternative = returned
-    elif alternative.isclose(original):
-        raise InvalidInputError(
-            "alternative hypothesis equals the original state"
-        )
     outcome = helstrom_discriminate(returned, original, alternative, rng)
     return outcome == 0
 
@@ -371,13 +369,12 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
 
     For a two-branch seal every honest outcome satisfies
     mask . (x1 xor x2) = 0 over GF(2); accept exactly when that holds.
-    The all-zero mask is a valid honest outcome and is accepted.
+    The all-zero mask is a valid honest outcome and is accepted; a mask of
+    another width raises InvalidInputError.
     """
     if len(record.branches) != 2:
         raise UnsupportedModeError(
             "classical verification is defined only for two-branch seals"
         )
-    if mask.bit_len != record.bit_len:
-        raise InvalidInputError("mask width does not match the seal")
     x1, x2 = record.branches
     return mask.dot(x1 ^ x2) == 0

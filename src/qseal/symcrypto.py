@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bits import BitString
-from .errors import AmbiguousTagError, KeyMismatchError, TagNotFoundError
+from .errors import AmbiguousTagError, TagNotFoundError
 
 TAG_BYTES = 16
 
@@ -54,16 +54,10 @@ def enc(key: BitString, message: bytes) -> Ciphertext:
     return Ciphertext(_tag(encoded_key), _xor_keystream(encoded_key, message))
 
 
-def dec(key: BitString, ciphertext: Ciphertext) -> bytes:
-    encoded_key = key.encode()
-    if ciphertext.key_tag != _tag(encoded_key):
-        raise KeyMismatchError("ciphertext tag does not match this key")
-    return _xor_keystream(encoded_key, ciphertext.body)
-
-
 def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:
     """Decrypt the single ciphertext in the batch tagged for this key."""
-    tag = key_tag(key)
+    encoded_key = key.encode()
+    tag = _tag(encoded_key)
     matches = [ct for ct in ciphertexts if ct.key_tag == tag]
     if not matches:
         raise TagNotFoundError("no ciphertext carries this key's tag")
@@ -71,4 +65,4 @@ def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:
         raise AmbiguousTagError(
             f"{len(matches)} ciphertexts carry the same key tag"
         )
-    return dec(key, matches[0])
+    return _xor_keystream(encoded_key, matches[0].body)

@@ -7,15 +7,17 @@ images make negligible at the supported widths).
 
 Canonicalization needs the shift, so honest evaluation is modeled as oracle
 access: parties other than the key holder evaluate through a TcfOracle
-handle rather than recomputing the function from public data.  A deployment
-would substitute a function family whose forward direction is publicly
-computable; the protocol layers above only ever call eval.
+handle rather than recomputing the function from public data.  The handle
+carries the whole instance, shift included, and so does the package
+document that ships it; the simulation relies on the protocol, not on
+hiding, to keep the reader to eval.  A deployment would substitute a
+function family whose forward direction is publicly computable; the
+protocol layers above only ever call eval.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from random import Random
 
@@ -26,7 +28,6 @@ SALT_BYTES = 16
 IMAGE_BITS = 256
 
 _EVAL_PREFIX = b"tcf/eval"
-_PK_PREFIX = b"tcf/pk"
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,48 +73,24 @@ def _image(params: TcfParams, salt: bytes, shift: int, x: BitString) -> bytes:
     return digest[: params.image_bits // 8]
 
 
-def _public_key_bytes(params: TcfParams, salt: bytes) -> bytes:
-    return _PK_PREFIX + struct.pack(">II", params.bit_len, params.image_bits) + salt
-
-
+@dataclass(frozen=True, slots=True)
 class TcfOracle:
     """Evaluation handle for one committed instance.
 
-    Answers eval queries without exposing the shift; the underscored fields
-    exist because the simulation process has to hold the whole instance.
+    The protocol only calls eval on it.  The fields are public because the
+    package document serializes them: an instance the reader can evaluate
+    is an instance the reader holds.
     """
 
-    __slots__ = ("params", "_salt", "_shift")
+    params: TcfParams
+    salt: bytes
+    shift: BitString
 
-    def __init__(self, params: TcfParams, salt: bytes, shift: BitString) -> None:
-        _check_instance(params, salt, shift)
-        self.params = params
-        self._salt = salt
-        self._shift = shift
-
-    @property
-    def bit_len(self) -> int:
-        return self.params.bit_len
-
-    @property
-    def public_key(self) -> bytes:
-        return _public_key_bytes(self.params, self._salt)
+    def __post_init__(self) -> None:
+        _check_instance(self.params, self.salt, self.shift)
 
     def eval(self, x: BitString) -> bytes:
-        return _image(self.params, self._salt, self._shift.value, x)
-
-    def export_parts(self) -> tuple[TcfParams, bytes, BitString]:
-        """Serialization hook for the document layer; leaks the instance."""
-        return self.params, self._salt, self._shift
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TcfOracle):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self._salt == other._salt
-            and self._shift == other._shift
-        )
+        return _image(self.params, self.salt, self.shift.value, x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,10 +101,6 @@ class TcfKeyPair:
 
     def __post_init__(self) -> None:
         _check_instance(self.params, self.salt, self.shift)
-
-    @property
-    def public_key(self) -> bytes:
-        return _public_key_bytes(self.params, self.salt)
 
     def oracle(self) -> TcfOracle:
         return TcfOracle(self.params, self.salt, self.shift)
@@ -159,9 +132,3 @@ def sample_claw(keypair: TcfKeyPair, rng: Random) -> Claw:
     x2 = x1 ^ keypair.shift
     return Claw(x1, x2, keypair.eval(x1))
 
-
-def verify_claw(oracle: TcfOracle | TcfKeyPair, claw: Claw) -> bool:
-    """Check x1 != x2 and that both map to the recorded image."""
-    if claw.x1 == claw.x2:
-        return False
-    return oracle.eval(claw.x1) == claw.image and oracle.eval(claw.x2) == claw.image

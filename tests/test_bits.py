@@ -37,13 +37,6 @@ def test_dot_is_parity_of_and():
     assert a.dot(BitString(8, 0)) == 0
 
 
-def test_bit_indexing_is_lsb_first():
-    a = BitString(4, 0b0010)
-    assert [a.bit(i) for i in range(4)] == [0, 1, 0, 0]
-    with pytest.raises(InvalidInputError):
-        a.bit(4)
-
-
 def test_hex_round_trip_pads_to_width():
     a = BitString(12, 0x0AB)
     assert a.hex() == "0ab"
@@ -76,11 +69,6 @@ def test_from_hex_accepts_only_the_canonical_rendering(bit_len, text):
 def test_encode_disambiguates_widths():
     # Same value at different widths must hash differently.
     assert BitString(8, 5).encode() != BitString(16, 5).encode()
-
-
-def test_packed_is_big_endian_and_padded():
-    assert BitString(16, 0x0102).packed == b"\x01\x02"
-    assert BitString(9, 1).packed == b"\x00\x01"
 
 
 def test_random_respects_width_and_is_seeded():

@@ -164,6 +164,35 @@ class TestSealOpen:
         assert run("open", "--package", str(bad)) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_open_non_integer_version_is_integrity_error(
+        self, binary_files, tmp_path, capsys, version
+    ):
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        doc["format_version"] = version
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("open", "--package", str(bad)) == 3
+        assert "format_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "amplitude",
+        [["root", True, 2], ["root", 1.0, 2], ["root", 1, True]],
+        ids=["sign-true", "sign-float", "root-true"],
+    )
+    def test_open_non_integer_amplitude_is_integrity_error(
+        self, binary_files, tmp_path, capsys, amplitude
+    ):
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        assert doc["payload"]["register"]["terms"][0][1] == ["root", 1, 2]
+        doc["payload"]["register"]["terms"][0][1] = amplitude
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("open", "--package", str(bad)) == 3
+        assert "amplitude encoding" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, rewrite",
         [

@@ -144,6 +144,33 @@ class TestAmplitudes:
 
 
 # ---------------------------------------------------------------------------
+# JSON integers: true, false and 1.0 compare equal to ints but are not ints
+# ---------------------------------------------------------------------------
+
+
+class TestJsonIntegers:
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_must_be_an_integer(self, version):
+        text = json.dumps(
+            {"format_version": version, "kind": "seal_package", "payload": {}}
+        )
+        with pytest.raises(DocumentError, match="format_version"):
+            documents.parse_document(text)
+
+    @pytest.mark.parametrize(
+        "amplitude",
+        [["root", True, 1], ["root", 1.0, 1], ["root", -1.0, 1], ["root", 1, True]],
+        ids=["sign-true", "sign-float", "negative-sign-float", "root-true"],
+    )
+    def test_amplitude_sign_and_root_must_be_integers(self, amplitude):
+        with pytest.raises(DocumentError, match="amplitude encoding"):
+            documents.decode_amplitude(amplitude)
+        payload = {"bit_len": 8, "terms": [["01", amplitude]]}
+        with pytest.raises(DocumentError, match="amplitude encoding"):
+            documents.state_from_payload(payload)
+
+
+# ---------------------------------------------------------------------------
 # state payloads
 # ---------------------------------------------------------------------------
 
@@ -197,7 +224,12 @@ class TestRoundTrips:
         payload = documents.parse_document(
             documents.package_to_document(package), documents.KIND_PACKAGE
         )
-        assert documents.package_from_payload(payload) == package
+        decoded = documents.package_from_payload(payload)
+        assert decoded == package
+        assert decoded.tcf == package.tcf
+        assert (decoded.tcf.params, decoded.tcf.salt, decoded.tcf.shift) == (
+            package.tcf.params, package.tcf.salt, package.tcf.shift
+        )
 
     def test_nary_package(self):
         package, _ = nary_pair(k=4)

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qseal import seal as seal_module
 from qseal.bits import BitString
 from qseal.errors import (
     InvalidInputError,
@@ -117,10 +118,17 @@ class TestSealBinary:
     def test_fresh_instance_per_seal(self):
         package_a, _ = seal_binary(seed=1)
         package_b, _ = seal_binary(seed=2)
-        assert package_a.tcf.public_key != package_b.tcf.public_key
+        assert package_a.tcf != package_b.tcf
 
     def test_same_seed_reproduces_package(self):
         assert seal_binary(seed=9)[0] == seal_binary(seed=9)[0]
+
+    def test_package_hashes_by_value(self):
+        package_a, _ = seal_binary(seed=9)
+        package_b, _ = seal_binary(seed=9)
+        assert package_a is not package_b
+        assert hash(package_a) == hash(package_b)
+        assert {package_a: "sealed"}[package_b] == "sealed"
 
 
 class TestSealNary:
@@ -296,6 +304,26 @@ class TestOpen:
             for seed in range(32):
                 bob_open(broken, Random(seed))
 
+    def test_unmatched_branch_is_a_corrupt_package(self):
+        package, _ = seal_nary(k=2)
+        stranger, _ = seal_nary(k=2, seed=1)
+        broken = object.__new__(SealPackage)
+        for field in ("mode", "bit_len", "register", "tcf"):
+            object.__setattr__(broken, field, getattr(package, field))
+        object.__setattr__(broken, "ciphertexts", stranger.ciphertexts)
+        with pytest.raises(ProtocolCorruptionError):
+            bob_open(broken, Random(0))
+
+    def test_cipher_bugs_are_not_relabelled_as_corruption(self, monkeypatch):
+        package, _ = seal_nary(k=2)
+
+        def broken_find_and_dec(key, ciphertexts):
+            raise RuntimeError("bug inside the cipher")
+
+        monkeypatch.setattr(seal_module, "find_and_dec", broken_find_and_dec)
+        with pytest.raises(RuntimeError, match="bug inside the cipher"):
+            bob_open(package, Random(0))
+
 
 # ---------------------------------------------------------------------------
 # responding
@@ -451,21 +479,40 @@ class TestVerifyQuantum:
 
     def test_helstrom_explicit_alternative_equal_to_original_rejected(self):
         package, record = seal_binary()
-        with pytest.raises(InvalidInputError):
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(InvalidInputError, match="identical"):
             alice_verify_quantum(
                 record,
                 singleton(record.branches[0]),
                 VerifyMethod.HELSTROM_PER_BRANCH,
-                Random(0),
+                rng,
                 alternative=package.register,
             )
+        assert rng.getstate() == before
 
     def test_width_mismatch_rejected(self):
         _, record = seal_binary(bits=16)
-        with pytest.raises(InvalidInputError):
+        for method in VerifyMethod:
+            rng = Random(0)
+            before = rng.getstate()
+            with pytest.raises(InvalidInputError, match="width"):
+                alice_verify_quantum(record, singleton(BitString(8, 1)), method, rng)
+            assert rng.getstate() == before, method
+
+    def test_alternative_of_another_width_rejected_before_any_draw(self):
+        _, record = seal_binary(bits=16)
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(InvalidInputError, match="width"):
             alice_verify_quantum(
-                record, singleton(BitString(8, 1)), VerifyMethod.PROJECTIVE, Random(0)
+                record,
+                singleton(record.branches[0]),
+                VerifyMethod.HELSTROM_PER_BRANCH,
+                rng,
+                alternative=singleton(BitString(8, 1)),
             )
+        assert rng.getstate() == before
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +554,7 @@ class TestVerifyClassical:
 
     def test_width_mismatch_rejected(self):
         _, record = seal_binary(bits=16)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="width"):
             alice_verify_classical(record, BitString(8, 0))
 
     def test_random_masks_accepted_half_the_time(self):

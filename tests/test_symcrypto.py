@@ -8,13 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qseal.bits import BitString
-from qseal.errors import AmbiguousTagError, KeyMismatchError, TagNotFoundError
-from qseal.symcrypto import Ciphertext, dec, enc, find_and_dec, key_tag
+from qseal.errors import AmbiguousTagError, TagNotFoundError
+from qseal.symcrypto import Ciphertext, enc, find_and_dec, key_tag
 
 # Frozen reference ciphertext for key 0xbeef (width 16), message
 # b"attack at dawn".  Guards the keystream layout against silent change.
 GOLDEN_TAG = "486f60110b64554bce08830dac83944d"
 GOLDEN_BODY = "080352f18af424b27b47325d191e"
+
+
+def dec(key: BitString, ciphertext: Ciphertext) -> bytes:
+    """Decrypt one ciphertext: a lookup over a batch of one."""
+    return find_and_dec(key, (ciphertext,))
 
 
 def test_golden_ciphertext():
@@ -74,7 +79,7 @@ def test_same_value_different_width_gets_distinct_tags():
 
 def test_wrong_key_is_rejected_before_decryption():
     ct = enc(BitString(16, 0xBEEF), b"payload")
-    with pytest.raises(KeyMismatchError):
+    with pytest.raises(TagNotFoundError):
         dec(BitString(16, 0xBEEE), ct)
 
 
@@ -140,3 +145,19 @@ class TestProperties:
         # not the whole string (2^-8 per byte, bound generous).
         key = BitString(16, 0x5A5A)
         assert enc(key, message).body != message or len(message) < 2
+
+
+def test_find_and_dec_hashes_the_key_tag_once(monkeypatch):
+    # One SHA-256 for the tag plus one per 32-byte keystream block.
+    key = BitString(16, 0xBEEF)
+    batch = (enc(BitString(16, 1), b"x"), enc(key, b"attack at dawn"))
+    calls = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256(*args):
+        calls.append(args)
+        return real_sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    assert find_and_dec(key, batch) == b"attack at dawn"
+    assert len(calls) == 2
