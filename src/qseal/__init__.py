@@ -17,7 +17,6 @@ from .errors import (
     UnsupportedModeError,
 )
 from .experiment import (
-    CurvePoint,
     EstimateReport,
     TrialConfig,
     curve_csv,
@@ -72,7 +71,6 @@ __all__ = [
     "Ciphertext",
     "ClassicalReturn",
     "Claw",
-    "CurvePoint",
     "DocumentError",
     "EstimateReport",
     "InvalidInputError",

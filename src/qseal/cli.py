@@ -27,7 +27,6 @@ from .errors import (
 )
 from .experiment import (
     DEFAULT_BIT_LEN,
-    CurvePoint,
     TrialConfig,
     curve_csv,
     fig1_curve,
@@ -48,7 +47,6 @@ from .seal import (
     alice_verify_quantum,
     bob_open,
     bob_respond,
-    branch_count,
 )
 from .tcf import TcfParams
 
@@ -179,12 +177,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CLIError("--workers must be >= 1")
     if args.mixture:
         report = mixture_diagnostic(args.bits, args.trials, args.seed)
-        k = 2
         context: dict[str, Any] = {"experiment": "mixture_diagnostic"}
     else:
-        config = _simulate_config(args)
-        report = run_trials(config, workers=args.workers)
-        k = branch_count(config.mode)
+        report = run_trials(_simulate_config(args), workers=args.workers)
         context = {
             "experiment": "run_trials",
             "mode": args.mode,
@@ -193,11 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
     print(_format_report(report))
     if args.csv is not None:
-        point = CurvePoint(
-            k, report.p_theory, report.p_hat, report.ci_low, report.ci_high,
-            report.trials,
-        )
-        Path(args.csv).write_text(curve_csv([point]))
+        Path(args.csv).write_text(curve_csv([report]))
     if args.out_report is not None:
         Path(args.out_report).write_text(
             documents.report_to_document(

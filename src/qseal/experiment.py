@@ -133,22 +133,25 @@ class TrialConfig:
 
 @dataclass(frozen=True, slots=True)
 class EstimateReport:
+    """One rate estimate for a k-branch seal; one report is one CSV row.
+
+    p_hat comes with its 95% Wilson interval; p_theory is the exact rate.
+    """
+
     statistic: str
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    p_theory: float
-
-
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
     k: int
-    p_theory: float
     p_hat: float
     ci_low: float
     ci_high: float
     trials: int
+    p_theory: float
+
+
+def _report(
+    statistic: str, k: int, successes: int, trials: int, p_theory: float
+) -> EstimateReport:
+    low, high = wilson_interval(successes, trials)
+    return EstimateReport(statistic, k, successes / trials, low, high, trials, p_theory)
 
 
 def _spawned_rng(master_seed: int, *path: int | str) -> Random:
@@ -183,10 +186,11 @@ def theory_rate(config: TrialConfig) -> float:
         return 1.0 - 1.0 / k
     # MEASURE_RANDOM_STATE: the fresh string collides with a branch with
     # probability k/2^n, in which case it looks like a kept measurement.
-    collide = k / float(1 << config.bit_len)
+    # ldexp, not k / float(1 << n): 2^n has no float from n = 1024 on.
+    collide = math.ldexp(k, -config.bit_len)
     if config.verify_method is VerifyMethod.HELSTROM_PER_BRANCH:
         return 1.0 - collide * (1.0 - theory_pcheck(k))
-    return 1.0 - 1.0 / float(1 << config.bit_len)
+    return 1.0 - math.ldexp(1.0, -config.bit_len)
 
 
 def _run_one(config: TrialConfig, index: int) -> bool:
@@ -233,15 +237,8 @@ def run_trials(config: TrialConfig, workers: int = 1) -> EstimateReport:
             successes = sum(
                 pool.map(lambda b: _count_range(config, b[0], b[1]), bounds)
             )
-    low, high = wilson_interval(successes, config.trials)
-    return EstimateReport(
-        statistic=config.statistic,
-        p_hat=successes / config.trials,
-        ci_low=low,
-        ci_high=high,
-        trials=config.trials,
-        p_theory=theory_rate(config),
-    )
+    k = branch_count(config.mode)
+    return _report(config.statistic, k, successes, config.trials, theory_rate(config))
 
 
 def fig1_curve(
@@ -250,14 +247,15 @@ def fig1_curve(
     bit_len: int = DEFAULT_BIT_LEN,
     seed: int = 0,
     workers: int = 1,
-) -> list[CurvePoint]:
+) -> list[EstimateReport]:
     """Detection-vs-branch-count sweep for the kept-measurement cheater.
 
-    One point per k in [2, k_max]: n-ary seal, quantum return, per-branch
-    Helstrom verification, paired with the closed-form curve.
+    One report per k in [2, k_max], each exactly what run_trials returns for
+    that point: n-ary seal, quantum return, per-branch Helstrom verification,
+    with p_theory = theory_pcheck(k).
     """
     check_width(NarySymmetric(k_max), bit_len)  # then every smaller k fits too
-    points: list[CurvePoint] = []
+    points: list[EstimateReport] = []
     for k in range(2, k_max + 1):
         config = TrialConfig(
             mode=NarySymmetric(k),
@@ -268,22 +266,12 @@ def fig1_curve(
             trials=trials_per_point,
             seed=_spawned_rng(seed, "curve", k).getrandbits(63),
         )
-        report = run_trials(config, workers=workers)
-        points.append(
-            CurvePoint(
-                k=k,
-                p_theory=theory_pcheck(k),
-                p_hat=report.p_hat,
-                ci_low=report.ci_low,
-                ci_high=report.ci_high,
-                trials=report.trials,
-            )
-        )
+        points.append(run_trials(config, workers=workers))
     return points
 
 
-def curve_csv(points: list[CurvePoint]) -> str:
-    """Render curve points as CSV with a fixed header and 6-decimal reals."""
+def curve_csv(points: list[EstimateReport]) -> str:
+    """Render reports as CSV rows under CSV_HEADER, reals to 6 decimals."""
     lines = [CSV_HEADER]
     for pt in points:
         lines.append(
@@ -328,12 +316,4 @@ def mixture_diagnostic(
         said_honest = helstrom_discriminate(truth, original, complement, rng) == 0
         if said_honest == honest:
             successes += 1
-    low, high = wilson_interval(successes, trials)
-    return EstimateReport(
-        statistic="discrimination_success",
-        p_hat=successes / trials,
-        ci_low=low,
-        ci_high=high,
-        trials=trials,
-        p_theory=0.75,
-    )
+    return _report("discrimination_success", 2, successes, trials, 0.75)

@@ -337,7 +337,6 @@ def alice_verify_quantum(
     returned: SparseState,
     method: VerifyMethod,
     rng: Random,
-    alternative: SparseState | None = None,
 ) -> bool:
     """Test a returned register against the retained original.  True = accept.
 
@@ -345,23 +344,19 @@ def alice_verify_quantum(
     first outcome, so acceptance probability is the squared overlap.
 
     HELSTROM_PER_BRANCH runs the optimal two-hypothesis test between the
-    original and a declared alternative, accepting when the original is
-    reported.  The alternative defaults to the returned state itself, which
-    models a verifier told what a cheater would have sent; a returned state
-    equal to the original leaves nothing to test and is accepted outright.
-    A state of another width, or an alternative equal to the original,
-    raises InvalidInputError before any draw.
+    original and the returned state itself, accepting when the original is
+    reported; this models a verifier told what a cheater would have sent.  A
+    returned state equal to the original leaves nothing to test and is
+    accepted outright.  A state of another width raises InvalidInputError
+    before any draw.
     """
     original = record.original_state
     if method is VerifyMethod.PROJECTIVE:
         overlap = inner_product(original, returned)
         return rng.random() < overlap * overlap
-    if alternative is None:
-        if returned.isclose(original):
-            return True
-        alternative = returned
-    outcome = helstrom_discriminate(returned, original, alternative, rng)
-    return outcome == 0
+    if returned.isclose(original):
+        return True
+    return helstrom_discriminate(returned, original, returned, rng) == 0
 
 
 def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:

@@ -77,14 +77,17 @@ class SparseState:
     def amplitude(self, key: BitString) -> float:
         return self.terms.get(key, 0.0)
 
-    def isclose(self, other: SparseState, tol: float = AMP_TOL) -> bool:
-        """True when both states carry the same terms within tol."""
+    def isclose(self, other: SparseState) -> bool:
+        """True when the states agree within AMP_TOL on every basis string.
+
+        A string missing from one state counts as amplitude 0 there.
+        """
         if self.bit_len != other.bit_len:
             return False
-        keys = self.terms.keys() | other.terms.keys()
+        mine, theirs = self.terms, other.terms
         return all(
-            abs(self.amplitude(k) - other.amplitude(k)) <= tol for k in keys
-        )
+            abs(amp - theirs.get(key, 0.0)) <= AMP_TOL for key, amp in mine.items()
+        ) and all(abs(amp) <= AMP_TOL or key in mine for key, amp in theirs.items())
 
 
 def singleton(key: BitString) -> SparseState:

@@ -6,12 +6,19 @@ All invocations run in-process through main(argv).  Exit contract:
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qseal.cli import main
 from qseal.documents import parse_document, KIND_SECRET
+from qseal.seal import CheatStrategy, ReturnKind, VerifyMethod
 
 
 def run(*argv: str) -> int:
@@ -490,6 +497,70 @@ class TestSimulate:
         assert run("simulate", "--mixture", "--trials", "0") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("method", ["projective", "helstrom"])
+    def test_random_state_wider_than_the_float_range(self, capsys, method):
+        # 2^1100 has no float; the exact rate rounds to 1.
+        argv = [
+            "simulate", "--mode", "nary", "--k", "2", "--bits", "1100",
+            "--strategy", "measure-random-state", "--method", method,
+            "--trials", "3",
+        ]
+        assert run(*argv) == 0
+        assert "p_theory=1.000000" in capsys.readouterr().out
+
+    @given(
+        mode_k=st.one_of(
+            st.just(("binary", None)),
+            st.tuples(st.just("nary"), st.integers(min_value=2, max_value=64)),
+            st.tuples(
+                st.sampled_from(["binary", "nary"]),
+                st.none() | st.integers(min_value=1, max_value=65),
+            ),
+        ),
+        bits=st.one_of(
+            st.integers(min_value=-1, max_value=1100),
+            st.integers(min_value=3, max_value=128),
+            st.integers(min_value=1024, max_value=1100),
+        ),
+        strategy_kind=st.sampled_from(
+            list(product(
+                [s.value for s in CheatStrategy], [k.value for k in ReturnKind]
+            ))
+        ),
+        method=st.sampled_from([m.value for m in VerifyMethod]),
+        trials=st.one_of(
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=-1, max_value=3),
+        ),
+        seed=st.sampled_from([0, 1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
+        mixture=st.booleans(),
+        write=st.booleans(),
+    )
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_no_traceback(
+        self, mode_k, bits, strategy_kind, method, trials, seed, mixture, write
+    ):
+        """Every simulate request either runs (0) or is a usage error (2).
+
+        The draws lean towards valid requests, so that most examples reach
+        the trials; the widths 1024..1100 have no float 2^bits.
+        """
+        mode, k = mode_k
+        strategy, kind = strategy_kind
+        argv = [
+            "simulate", "--mode", mode, "--bits", str(bits),
+            "--strategy", strategy, "--kind", kind, "--method", method,
+            "--trials", str(trials), f"--seed={seed}",
+        ]
+        argv += [] if k is None else ["--k", str(k)]
+        argv += ["--mixture"] if mixture else []
+        with tempfile.TemporaryDirectory() as out:
+            if write:
+                argv += ["--csv", str(Path(out, "row.csv"))]
+                argv += ["--out-report", str(Path(out, "report.json"))]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 2), argv
+
     def test_honest_helstrom_combination_rejected(self, capsys):
         assert (
             run(
@@ -534,22 +605,29 @@ class TestCurve:
         capsys.readouterr()
 
 
+MONTE_CARLO_COMMANDS = {
+    "simulate": ["simulate", "--trials", "3"],
+    "mixture": ["simulate", "--mixture", "--trials", "3"],
+    "curve": ["curve", "--k-max", "2", "--trials", "3"],
+}
+
+
 class TestSeedRange:
     """simulate and curve take seeds in [-2^63, 2^63): exit 2 outside."""
 
-    COMMANDS = {
-        "simulate": ["simulate", "--trials", "3"],
-        "mixture": ["simulate", "--mixture", "--trials", "3"],
-        "curve": ["curve", "--k-max", "2", "--trials", "3"],
-    }
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("command", sorted(MONTE_CARLO_COMMANDS))
     @pytest.mark.parametrize("seed, code", [
         (2**63 - 1, 0), (-(2**63), 0), (2**63, 2), (-(2**63) - 1, 2),
     ])
     def test_edges(self, capsys, command, seed, code):
-        assert run(*self.COMMANDS[command], f"--seed={seed}") == code
+        assert run(*MONTE_CARLO_COMMANDS[command], f"--seed={seed}") == code
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(MONTE_CARLO_COMMANDS))
+def test_zero_workers_is_usage_error(capsys, command):
+    assert run(*MONTE_CARLO_COMMANDS[command], "--workers", "0") == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 class TestParser:

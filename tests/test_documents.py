@@ -298,11 +298,15 @@ class TestRoundTrips:
     def test_report_document_shape(self):
         from qseal.experiment import EstimateReport
 
-        report = EstimateReport("detection", 0.8536, 0.8514, 0.8557, 100_000, 0.853553)
+        report = EstimateReport(
+            statistic="detection", k=2, p_hat=0.8536, ci_low=0.8514,
+            ci_high=0.8557, trials=100_000, p_theory=0.853553,
+        )
         text = documents.report_to_document(report, {"experiment": "run_trials"})
         payload = documents.parse_document(text, documents.KIND_REPORT)
         assert payload["p_hat"] == 0.8536
         assert payload["experiment"] == "run_trials"
+        assert "k" not in payload
 
 
 # ---------------------------------------------------------------------------

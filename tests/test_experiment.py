@@ -7,6 +7,7 @@ Closed-form constants are cross-checked against dense linear algebra here
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qseal import experiment
 from qseal.errors import InvalidInputError
 from qseal.experiment import (
     CSV_HEADER,
-    CurvePoint,
     EstimateReport,
     TrialConfig,
     _spawned_rng,
@@ -165,6 +165,35 @@ class TestTheoryRate:
         fresh = config(strategy=CheatStrategy.MEASURE_RANDOM_STATE, bit_len=8)
         expected = 1.0 - (2 / 256) * (1.0 - theory_pcheck(2))
         assert abs(theory_rate(fresh) - expected) < 1e-12
+
+    def test_random_state_rate_equals_the_exact_quotient(self):
+        # Bit for bit what k / 2^n gives wherever 2^n is a float.
+        for k in range(2, 65):
+            helstrom = config(
+                mode=NarySymmetric(k),
+                strategy=CheatStrategy.MEASURE_RANDOM_STATE,
+                bit_len=1023,
+            )
+            projective = replace(helstrom, verify_method=VerifyMethod.PROJECTIVE)
+            for bit_len in range((4 * k - 1).bit_length(), 1024):
+                power = float(1 << bit_len)
+                collide = k / power
+                assert theory_rate(replace(helstrom, bit_len=bit_len)) == (
+                    1.0 - collide * (1.0 - theory_pcheck(k))
+                ), (k, bit_len)
+                assert theory_rate(replace(projective, bit_len=bit_len)) == (
+                    1.0 - 1.0 / power
+                ), (k, bit_len)
+
+    @pytest.mark.parametrize("method", list(VerifyMethod))
+    def test_random_state_rate_beyond_the_float_range(self, method):
+        wide = config(
+            mode=NarySymmetric(2),
+            strategy=CheatStrategy.MEASURE_RANDOM_STATE,
+            verify_method=method,
+            bit_len=1100,
+        )
+        assert theory_rate(wide) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +429,30 @@ class TestCurve:
         with pytest.raises(InvalidInputError):
             fig1_curve(k_max=k_max, trials_per_point=10, bit_len=bit_len)
 
+    def test_points_are_run_trials_reports(self):
+        points = fig1_curve(k_max=4, trials_per_point=300, seed=18)
+        for pt in points:
+            point_config = TrialConfig(
+                mode=NarySymmetric(pt.k),
+                bit_len=experiment.DEFAULT_BIT_LEN,
+                strategy=CheatStrategy.MEASURE_KEEP,
+                return_kind=ReturnKind.QUANTUM,
+                verify_method=VerifyMethod.HELSTROM_PER_BRANCH,
+                trials=300,
+                seed=_spawned_rng(18, "curve", pt.k).getrandbits(63),
+            )
+            assert pt == run_trials(point_config)
+
     def test_csv_shape(self):
         points = [
-            CurvePoint(2, 0.8535533905932737, 0.8531, 0.8449, 0.8610, 5000),
-            CurvePoint(3, 0.908248290463863, 0.9091, 0.9008, 0.9166, 5000),
+            EstimateReport(
+                statistic="detection", k=2, p_hat=0.8531, ci_low=0.8449,
+                ci_high=0.8610, trials=5000, p_theory=0.8535533905932737,
+            ),
+            EstimateReport(
+                statistic="detection", k=3, p_hat=0.9091, ci_low=0.9008,
+                ci_high=0.9166, trials=5000, p_theory=0.908248290463863,
+            ),
         ]
         text = curve_csv(points)
         lines = text.splitlines()

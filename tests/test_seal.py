@@ -477,20 +477,6 @@ class TestVerifyQuantum:
             )
         assert abs(rejected / trials - 0.8535533905932737) < 0.006
 
-    def test_helstrom_explicit_alternative_equal_to_original_rejected(self):
-        package, record = seal_binary()
-        rng = Random(0)
-        before = rng.getstate()
-        with pytest.raises(InvalidInputError, match="identical"):
-            alice_verify_quantum(
-                record,
-                singleton(record.branches[0]),
-                VerifyMethod.HELSTROM_PER_BRANCH,
-                rng,
-                alternative=package.register,
-            )
-        assert rng.getstate() == before
-
     def test_width_mismatch_rejected(self):
         _, record = seal_binary(bits=16)
         for method in VerifyMethod:
@@ -499,20 +485,6 @@ class TestVerifyQuantum:
             with pytest.raises(InvalidInputError, match="width"):
                 alice_verify_quantum(record, singleton(BitString(8, 1)), method, rng)
             assert rng.getstate() == before, method
-
-    def test_alternative_of_another_width_rejected_before_any_draw(self):
-        _, record = seal_binary(bits=16)
-        rng = Random(0)
-        before = rng.getstate()
-        with pytest.raises(InvalidInputError, match="width"):
-            alice_verify_quantum(
-                record,
-                singleton(record.branches[0]),
-                VerifyMethod.HELSTROM_PER_BRANCH,
-                rng,
-                alternative=singleton(BitString(8, 1)),
-            )
-        assert rng.getstate() == before
 
 
 # ---------------------------------------------------------------------------

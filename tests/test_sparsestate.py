@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qseal.bits import BitString
 from qseal.errors import CapacityError, InvalidInputError
 from qseal.sparsestate import (
+    AMP_TOL,
     SparseState,
     hadamard_measure,
     helstrom_discriminate,
@@ -152,6 +153,64 @@ class TestConstruction:
         state = uniform_superposition(keys)
         assert abs(sum(a * a for a in state.terms.values()) - 1.0) <= 1e-9
         assert state.num_branches == len(keys)
+
+    @given(st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_isclose_matches_the_union_definition(self, data):
+        a, b = data.draw(close_state_pairs())
+        assert a.isclose(b) == isclose_over_union(a, b)
+        assert b.isclose(a) == isclose_over_union(b, a)
+
+    def test_isclose_one_sided_tiny_terms(self):
+        base = {bs(4, 1): 1.0}
+        at_tol = SparseState(4, {**base, bs(4, 2): AMP_TOL})
+        above_tol = SparseState(4, {**base, bs(4, 2): 3 * AMP_TOL})
+        assert at_tol.isclose(singleton(bs(4, 1)))
+        assert singleton(bs(4, 1)).isclose(at_tol)
+        assert not above_tol.isclose(singleton(bs(4, 1)))
+        assert not singleton(bs(4, 1)).isclose(above_tol)
+        assert not singleton(bs(4, 1)).isclose(singleton(bs(5, 1)))
+
+
+def isclose_over_union(a: SparseState, b: SparseState) -> bool:
+    """Reference: compare amplitudes over the union of both key sets."""
+    if a.bit_len != b.bit_len:
+        return False
+    keys = a.terms.keys() | b.terms.keys()
+    return all(
+        abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) <= AMP_TOL for k in keys
+    )
+
+
+# Offsets around AMP_TOL: added to shared terms, or alone as one-sided terms.
+TINY = st.sampled_from([0.0, 1e-13, -1e-13, AMP_TOL, -AMP_TOL, 3e-12, -3e-12])
+
+
+@st.composite
+def close_state_pairs(draw):
+    """Two states on mostly shared keys, differing by signs and tiny terms.
+
+    One width in five is one bit wider, so widths sometimes disagree.
+    """
+    width = draw(st.integers(min_value=2, max_value=4))
+    widths = (width, draw(st.sampled_from([width] * 4 + [width + 1])))
+    value = st.integers(min_value=0, max_value=(1 << width) - 1)
+    shared = draw(st.lists(value, min_size=1, max_size=4, unique=True))
+
+    def state(bit_len: int) -> SparseState:
+        keys = draw(st.sampled_from([shared, shared, shared, [draw(value)]]))
+        amp = 1.0 / math.sqrt(len(keys))
+        terms = {
+            bs(bit_len, v): draw(st.sampled_from([amp, amp, -amp])) + draw(TINY)
+            for v in keys
+        }
+        for v in draw(st.lists(value, max_size=3)):
+            tiny = draw(TINY)
+            if tiny and bs(bit_len, v) not in terms:
+                terms[bs(bit_len, v)] = tiny
+        return SparseState(bit_len, terms)
+
+    return state(widths[0]), state(widths[1])
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +450,20 @@ class TestHadamardMeasure:
 
 class TestHelstromDiscriminate:
     def test_identical_hypotheses_rejected(self):
-        state = uniform(8, 1, 2)
-        with pytest.raises(InvalidInputError):
-            helstrom_discriminate(state, state, uniform(8, 1, 2), Random(0))
+        for truth in (uniform(8, 1, 2), uniform(8, 1)):
+            rng = Random(0)
+            before = rng.getstate()
+            with pytest.raises(InvalidInputError, match="identical"):
+                helstrom_discriminate(truth, uniform(8, 1, 2), uniform(8, 2, 1), rng)
+            assert rng.getstate() == before
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            helstrom_discriminate(
-                uniform(8, 1), uniform(8, 1), uniform(9, 1), Random(0)
-            )
+        for widths in ((8, 8, 9), (8, 9, 8), (9, 8, 8)):
+            rng = Random(0)
+            before = rng.getstate()
+            with pytest.raises(InvalidInputError, match="width"):
+                helstrom_discriminate(*(uniform(n, 1) for n in widths), rng)
+            assert rng.getstate() == before, widths
 
     def test_orthogonal_hypotheses_always_resolved(self):
         h0 = singleton(bs(8, 1))
