@@ -173,13 +173,11 @@ def _simulate_config(args: argparse.Namespace) -> TrialConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise CLIError("--workers must be >= 1")
     if args.mixture:
         report = mixture_diagnostic(args.bits, args.trials, args.seed)
         context: dict[str, Any] = {"experiment": "mixture_diagnostic"}
     else:
-        report = run_trials(_simulate_config(args), workers=args.workers)
+        report = run_trials(_simulate_config(args))
         context = {
             "experiment": "run_trials",
             "mode": args.mode,
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument(
         "--mixture",
         action="store_true",
@@ -307,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--trials", type=int, default=20_000, help="per point")
     p_curve.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
     p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.add_argument("--workers", type=int, default=1)
+    p_curve.add_argument(
+        "--workers", type=int, default=1,
+        help="threads over whole k points: same output, no speedup under the GIL",
+    )
     p_curve.add_argument("--out", help="CSV path; stdout when omitted")
     p_curve.set_defaults(handler=cmd_curve)
 

@@ -3,8 +3,8 @@
 Every trial seals fresh material, runs one respond/verify round, and counts
 the outcome.  Trials get their own random.Random seeded by hashing the
 master seed with the trial index, so results are reproducible bit-for-bit
-and independent of how trials are scheduled; a thread pool can split the
-index range without changing any count.
+and independent of how trials are scheduled: fig1_curve may run its k
+points on threads without changing any count.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -217,26 +217,9 @@ def _run_one(config: TrialConfig, index: int) -> bool:
     return accepted
 
 
-def _count_range(config: TrialConfig, start: int, stop: int) -> int:
-    return sum(1 for index in range(start, stop) if _run_one(config, index))
-
-
-def run_trials(config: TrialConfig, workers: int = 1) -> EstimateReport:
-    """Estimate the configured statistic over config.trials rounds."""
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
-    if workers == 1 or config.trials < 2 * workers:
-        successes = _count_range(config, 0, config.trials)
-    else:
-        chunk = (config.trials + workers - 1) // workers
-        bounds = [
-            (start, min(start + chunk, config.trials))
-            for start in range(0, config.trials, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(
-                pool.map(lambda b: _count_range(config, b[0], b[1]), bounds)
-            )
+def run_trials(config: TrialConfig) -> EstimateReport:
+    """Estimate the configured statistic over config.trials rounds, serially."""
+    successes = sum(1 for index in range(config.trials) if _run_one(config, index))
     k = branch_count(config.mode)
     return _report(config.statistic, k, successes, config.trials, theory_rate(config))
 
@@ -252,12 +235,14 @@ def fig1_curve(
 
     One report per k in [2, k_max], each exactly what run_trials returns for
     that point: n-ary seal, quantum return, per-branch Helstrom verification,
-    with p_theory = theory_pcheck(k).
+    with p_theory = theory_pcheck(k).  workers threads whole k points (at most
+    k_max - 1 threads); no count depends on it, and under the GIL no speedup.
     """
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
     check_width(NarySymmetric(k_max), bit_len)  # then every smaller k fits too
-    points: list[EstimateReport] = []
-    for k in range(2, k_max + 1):
-        config = TrialConfig(
+    configs = [
+        TrialConfig(
             mode=NarySymmetric(k),
             bit_len=bit_len,
             strategy=CheatStrategy.MEASURE_KEEP,
@@ -266,8 +251,12 @@ def fig1_curve(
             trials=trials_per_point,
             seed=_spawned_rng(seed, "curve", k).getrandbits(63),
         )
-        points.append(run_trials(config, workers=workers))
-    return points
+        for k in range(2, k_max + 1)
+    ]
+    if workers == 1:  # stay in the calling thread
+        return [run_trials(config) for config in configs]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run_trials, configs))
 
 
 def curve_csv(points: list[EstimateReport]) -> str:

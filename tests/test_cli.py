@@ -604,6 +604,47 @@ class TestCurve:
         assert run("curve", "--k-max", "2", "--trials", "0") == 2
         capsys.readouterr()
 
+    @given(
+        k_max=st.one_of(
+            st.integers(min_value=2, max_value=6),
+            st.integers(min_value=-1, max_value=65),
+        ),
+        bits=st.one_of(
+            st.integers(min_value=-1, max_value=1100),
+            st.integers(min_value=3, max_value=64),
+        ),
+        trials=st.one_of(
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=-1, max_value=3),
+        ),
+        seed=st.one_of(
+            st.sampled_from([2**63 - 1, -(2**63)]),
+            st.sampled_from([2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
+        ),
+        workers=st.one_of(
+            st.sampled_from([1, 2, 3, 10**6]),
+            st.sampled_from([-1, 0, 1, 2, 3, 10**6]),
+        ),
+        write=st.booleans(),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_no_traceback(self, k_max, bits, trials, seed, workers, write):
+        """Every curve request either runs (0) or is a usage error (2).
+
+        The draws lean towards valid requests, so that many examples reach
+        the sweep.  At most three trials per point keep each example short;
+        with --workers 10**6 the sweep still starts at most k_max - 1 threads.
+        """
+        argv = [
+            "curve", "--k-max", str(k_max), "--bits", str(bits),
+            "--trials", str(trials), f"--seed={seed}", "--workers", str(workers),
+        ]
+        with tempfile.TemporaryDirectory() as out:
+            if write:
+                argv += ["--out", str(Path(out, "curve.csv"))]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 2), argv
+
 
 MONTE_CARLO_COMMANDS = {
     "simulate": ["simulate", "--trials", "3"],
@@ -626,8 +667,15 @@ class TestSeedRange:
 
 @pytest.mark.parametrize("command", sorted(MONTE_CARLO_COMMANDS))
 def test_zero_workers_is_usage_error(capsys, command):
-    assert run(*MONTE_CARLO_COMMANDS[command], "--workers", "0") == 2
-    assert "--workers" in capsys.readouterr().err
+    """curve rejects --workers 0; simulate takes no --workers at all."""
+    if command == "curve":
+        assert run(*MONTE_CARLO_COMMANDS[command], "--workers", "0") == 2
+        assert "--workers" in capsys.readouterr().err
+        return
+    for workers in ("0", "1"):
+        assert run(*MONTE_CARLO_COMMANDS[command], "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --workers {workers}" in err
 
 
 class TestParser:

@@ -7,6 +7,7 @@ Closed-form constants are cross-checked against dense linear algebra here
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -296,12 +297,6 @@ class TestDeterminism:
         cfg = config(trials=1_500, seed=99)
         assert run_trials(cfg) == run_trials(cfg)
 
-    def test_worker_count_does_not_change_counts(self):
-        cfg = config(trials=1_501, seed=4)  # odd count exercises chunking
-        single = run_trials(cfg, workers=1)
-        threaded = run_trials(cfg, workers=4)
-        assert single == threaded
-
     def test_different_seeds_change_counts(self):
         a = run_trials(config(trials=2_000, seed=0))
         b = run_trials(config(trials=2_000, seed=1))
@@ -428,6 +423,34 @@ class TestCurve:
         monkeypatch.setattr(experiment, "run_trials", no_trials)
         with pytest.raises(InvalidInputError):
             fig1_curve(k_max=k_max, trials_per_point=10, bit_len=bit_len)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one_before_the_first_point(
+        self, monkeypatch, workers
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a point ran before workers was checked")
+
+        monkeypatch.setattr(experiment, "run_trials", no_trials)
+        with pytest.raises(InvalidInputError, match="workers"):
+            fig1_curve(k_max=3, trials_per_point=10, workers=workers)
+
+    def test_huge_worker_count_starts_at_most_one_thread_per_point(
+        self, monkeypatch
+    ):
+        serial = fig1_curve(k_max=3, trials_per_point=50, seed=19, workers=1)
+        run_point = experiment.run_trials
+        seen: list[int] = []
+
+        def counting(*args, **kwargs):
+            seen.append(threading.active_count())
+            return run_point(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_trials", counting)
+        before = threading.active_count()
+        threaded = fig1_curve(k_max=3, trials_per_point=50, seed=19, workers=10**6)
+        assert threaded == serial
+        assert len(seen) == 2 and max(seen) - before <= 2
 
     def test_points_are_run_trials_reports(self):
         points = fig1_curve(k_max=4, trials_per_point=300, seed=18)
