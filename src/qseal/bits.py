@@ -27,6 +27,11 @@ class BitString:
                 f"value {self.value:#x} does not fit in {self.bit_len} bits"
             )
 
+    def __hash__(self) -> int:
+        # Equality still compares (bit_len, value); strings of one width, the
+        # common case, differ by value alone, and this builds no tuple.
+        return hash(self.value)
+
     def __xor__(self, other: BitString) -> BitString:
         if other.bit_len != self.bit_len:
             raise InvalidInputError(

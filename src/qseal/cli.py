@@ -172,11 +172,28 @@ def _simulate_config(args: argparse.Namespace) -> TrialConfig:
     )
 
 
+# simulate's protocol flags default to None, so that --mixture, which runs no
+# protocol, can tell a given flag from an absent one; absent flags take these.
+_SIMULATE_DEFAULTS = {
+    "mode": "binary",
+    "k": None,
+    "strategy": CheatStrategy.HONEST.value,
+    "kind": ReturnKind.QUANTUM.value,
+    "method": VerifyMethod.PROJECTIVE.value,
+}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mixture:
+        for flag in _SIMULATE_DEFAULTS:
+            if getattr(args, flag) is not None:
+                raise CLIError(f"--mixture runs no protocol; --{flag} is not allowed")
         report = mixture_diagnostic(args.bits, args.trials, args.seed)
         context: dict[str, Any] = {"experiment": "mixture_diagnostic"}
     else:
+        for flag, default in _SIMULATE_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
         report = run_trials(_simulate_config(args))
         context = {
             "experiment": "run_trials",
@@ -268,24 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo rate estimate")
-    p_sim.add_argument("--mode", choices=["binary", "nary"], default="binary")
+    p_sim.add_argument("--mode", choices=["binary", "nary"])
     p_sim.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
     p_sim.add_argument("--k", type=int)
-    p_sim.add_argument(
-        "--strategy",
-        choices=[s.value for s in CheatStrategy],
-        default=CheatStrategy.HONEST.value,
-    )
-    p_sim.add_argument(
-        "--kind",
-        choices=[k.value for k in ReturnKind],
-        default=ReturnKind.QUANTUM.value,
-    )
-    p_sim.add_argument(
-        "--method",
-        choices=[m.value for m in VerifyMethod],
-        default=VerifyMethod.PROJECTIVE.value,
-    )
+    p_sim.add_argument("--strategy", choices=[s.value for s in CheatStrategy])
+    p_sim.add_argument("--kind", choices=[k.value for k in ReturnKind])
+    p_sim.add_argument("--method", choices=[m.value for m in VerifyMethod])
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(

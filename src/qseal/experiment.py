@@ -193,11 +193,15 @@ def theory_rate(config: TrialConfig) -> float:
     return 1.0 - math.ldexp(1.0, -config.bit_len)
 
 
-def _run_one(config: TrialConfig, index: int) -> bool:
-    """One seal/respond/verify round; True when the tracked event occurred."""
+def _run_one(config: TrialConfig, index: int, params: TcfParams | None) -> bool:
+    """One seal/respond/verify round; True when the tracked event occurred.
+
+    ``params`` is the binary mode's TcfParams(config.bit_len), built once
+    per run; n-ary rounds ignore it.
+    """
     rng = _spawned_rng(config.seed, "trial", index)
-    if isinstance(config.mode, BinaryTcf):
-        package, record = alice_seal_binary(TcfParams(config.bit_len), rng)
+    if params is not None:
+        package, record = alice_seal_binary(params, rng)
     else:
         secret = rng.getrandbits(8 * NARY_SECRET_BYTES).to_bytes(
             NARY_SECRET_BYTES, "big"
@@ -219,7 +223,10 @@ def _run_one(config: TrialConfig, index: int) -> bool:
 
 def run_trials(config: TrialConfig) -> EstimateReport:
     """Estimate the configured statistic over config.trials rounds, serially."""
-    successes = sum(1 for index in range(config.trials) if _run_one(config, index))
+    params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
+    successes = sum(
+        1 for index in range(config.trials) if _run_one(config, index, params)
+    )
     k = branch_count(config.mode)
     return _report(config.statistic, k, successes, config.trials, theory_rate(config))
 

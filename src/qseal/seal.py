@@ -128,7 +128,15 @@ def compatible(strategy: CheatStrategy, kind: ReturnKind) -> bool:
 
 @dataclass(frozen=True)
 class SealPackage:
-    """What Bob receives: the register plus the opening material."""
+    """What Bob receives: the register plus the opening material.
+
+    A binary package's register must be a claw of its function: the
+    register has the function's width (InvalidInputError otherwise) and its
+    branches x1, x2 satisfy x1 ^ x2 == shift (ProtocolCorruptionError
+    otherwise).  For this family that is exactly eval(x1) == eval(x2), so the
+    check computes no hash.  An n-ary package's branches must each match
+    exactly one ciphertext's key tag.
+    """
 
     mode: SealMode
     bit_len: int
@@ -145,8 +153,16 @@ class SealPackage:
                 raise InvalidInputError(
                     "binary packages carry a function handle and no ciphertexts"
                 )
+            # eval(x) hashes min(x, x ^ shift): distinct branches share an
+            # image exactly when they differ by the shift.  eval also refuses
+            # inputs of another width, so that check comes first.
+            width = self.tcf.params.bit_len
+            if self.bit_len != width:
+                raise InvalidInputError(
+                    f"input width {self.bit_len} does not match instance width {width}"
+                )
             first, second = self.register.branches
-            if self.tcf.eval(first) != self.tcf.eval(second):
+            if first.value ^ second.value != self.tcf.shift.value:
                 raise ProtocolCorruptionError(
                     "register branches do not form a claw"
                 )

@@ -43,6 +43,8 @@ class SparseState:
         if not self.terms:
             raise InvalidInputError("state needs at least one term")
         norm_sq = 0.0
+        previous = -1
+        in_order = True
         for key, amp in self.terms.items():
             if key.bit_len != self.bit_len:
                 raise InvalidInputError(
@@ -51,6 +53,9 @@ class SparseState:
             if amp == 0.0:
                 raise InvalidInputError(f"term {key} has zero amplitude")
             norm_sq += amp * amp
+            if key.value <= previous:
+                in_order = False
+            previous = key.value
         # Negated so that a NaN or infinite amplitude, which makes norm_sq
         # non-finite, fails the test too.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
@@ -58,8 +63,12 @@ class SparseState:
                 f"squared amplitudes sum to {norm_sq!r}, expected 1"
             )
         # Canonical iteration order regardless of how the dict was built.
-        # Every key has this state's width, so value order is BitString order.
-        ordered = dict(sorted(self.terms.items(), key=lambda term: term[0].value))
+        # Every key has this state's width, so value order is BitString order;
+        # terms that already arrive in that order are copied without sorting.
+        if in_order:
+            ordered = dict(self.terms)
+        else:
+            ordered = dict(sorted(self.terms.items(), key=lambda term: term[0].value))
         object.__setattr__(self, "terms", MappingProxyType(ordered))
 
     def __hash__(self) -> int:

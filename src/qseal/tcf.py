@@ -12,7 +12,13 @@ carries the whole instance, shift included, and so does the package
 document that ships it; the simulation relies on the protocol, not on
 hiding, to keep the reader to eval.  A deployment would substitute a
 function family whose forward direction is publicly computable; the
-protocol layers above only ever call eval.
+protocol layers above call eval, apart from one check.
+
+That check is the seal package's claw check.  For distinct inputs of the
+instance width, eval(a) == eval(b) holds exactly when a xor b == shift (up to
+hash collisions, as above), so the package tests its register for the
+instance width, which eval would also demand, and its two branches for a
+difference equal to the shift, without computing an image.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -69,6 +70,42 @@ def test_from_hex_accepts_only_the_canonical_rendering(bit_len, text):
 def test_encode_disambiguates_widths():
     # Same value at different widths must hash differently.
     assert BitString(8, 5).encode() != BitString(16, 5).encode()
+
+
+def test_hash_follows_equality_and_keeps_widths_apart():
+    assert hash(BitString(8, 5)) == hash(BitString(8, 5))
+    narrow, wide = BitString(8, 5), BitString(16, 5)
+    assert narrow != wide
+    names = {narrow: "narrow", wide: "wide"}
+    assert len(names) == 2
+    assert names[BitString(8, 5)] == "narrow" and names[BitString(16, 5)] == "wide"
+    assert {narrow, wide, BitString(8, 5)} == {wide, narrow}
+    assert len({narrow, wide, BitString(8, 5)}) == 2
+
+
+def test_stays_frozen_and_ordered_by_width_then_value():
+    a = BitString(8, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.value = 6
+    assert BitString(8, 5) < BitString(8, 6) < BitString(16, 0)
+    assert sorted([BitString(16, 1), BitString(8, 9), BitString(8, 2)]) == [
+        BitString(8, 2), BitString(8, 9), BitString(16, 1)
+    ]
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=4095),
+    st.integers(min_value=0, max_value=4095),
+)
+def test_equal_strings_hash_equal_property(len_a, len_b, value_a, value_b):
+    a = BitString(len_a, value_a % (1 << len_a))
+    b = BitString(len_b, value_b % (1 << len_b))
+    assert (a == b) == ((a.bit_len, a.value) == (b.bit_len, b.value))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a: None, b: None}) == (1 if a == b else 2)
 
 
 def test_random_respects_width_and_is_seeded():

@@ -227,6 +227,23 @@ class TestSealOpen:
         assert run("open", "--package", str(bad)) == 3
         assert "canonical" in capsys.readouterr().err
 
+    def test_open_oracle_of_another_width_is_integrity_error(
+        self, binary_files, tmp_path, capsys
+    ):
+        # 16-bit branches that differ by the shift of an 8-bit oracle.
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        payload = doc["payload"]
+        payload["register"]["terms"][0][0] = "1200"
+        payload["register"]["terms"][1][0] = "125a"
+        payload["tcf"]["bit_len"] = 8
+        payload["tcf"]["shift"] = "5a"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("open", "--package", str(bad)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "width" in err
+
     @pytest.mark.parametrize(
         "raw",
         [b"\xff\xfe\x00garbage", b"1" * 5000, b"[" * 100_000],
@@ -481,6 +498,43 @@ class TestSimulate:
         line = capsys.readouterr().out.strip()
         assert line.startswith("statistic=discrimination_success")
         assert "p_theory=0.750000" in line
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--mode", "binary"),
+            ("--mode", "nary"),
+            ("--k", "7"),
+            ("--strategy", "honest"),
+            ("--strategy", "measure-keep"),
+            ("--kind", "quantum"),
+            ("--method", "helstrom"),
+        ],
+    )
+    def test_mixture_refuses_protocol_flags(self, capsys, flag, value):
+        assert run("simulate", "--mixture", flag, value, "--trials", "50") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
+    def test_mixture_refuses_a_whole_protocol(self, capsys):
+        argv = [
+            "simulate", "--mixture", "--mode", "nary", "--k", "7",
+            "--strategy", "measure-keep", "--method", "helstrom", "--trials", "50",
+        ]
+        assert run(*argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_absent_protocol_flags_take_the_documented_defaults(self, capsys):
+        assert run("simulate", "--trials", "40", "--seed", "3") == 0
+        implicit = capsys.readouterr().out
+        argv = [
+            "simulate", "--mode", "binary", "--strategy", "honest",
+            "--kind", "quantum", "--method", "projective",
+            "--trials", "40", "--seed", "3",
+        ]
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == implicit
 
     def test_usage_errors(self, capsys):
         assert run("simulate", "--mode", "nary", "--trials", "10") == 2  # no --k

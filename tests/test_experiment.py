@@ -34,7 +34,12 @@ from qseal.seal import (
     NarySymmetric,
     ReturnKind,
     VerifyMethod,
+    alice_seal_binary,
+    alice_verify_classical,
+    alice_verify_quantum,
+    bob_respond,
 )
+from qseal.tcf import TcfParams
 
 HELSTROM_2 = 0.8535533905932737
 
@@ -296,6 +301,42 @@ class TestDeterminism:
     def test_reports_reproduce_exactly(self):
         cfg = config(trials=1_500, seed=99)
         assert run_trials(cfg) == run_trials(cfg)
+
+    @pytest.mark.parametrize(
+        "strategy, kind, method",
+        [
+            ("measure-keep", "quantum", "helstrom"),
+            ("measure-keep", "quantum", "projective"),
+            ("measure-random-state", "quantum", "projective"),
+            ("honest", "classical", None),
+            ("measure-guess-d", "classical", None),
+        ],
+    )
+    def test_binary_counts_match_rounds_sealed_with_fresh_params(
+        self, strategy, kind, method
+    ):
+        """run_trials builds TcfParams once per run; rounds that build it per
+        trial, from public calls, count the same events."""
+        cfg = config(
+            strategy=CheatStrategy(strategy),
+            return_kind=ReturnKind(kind),
+            verify_method=None if method is None else VerifyMethod(method),
+            trials=300,
+            seed=41,
+        )
+        events = 0
+        for index in range(cfg.trials):
+            rng = _spawned_rng(cfg.seed, "trial", index)
+            package, record = alice_seal_binary(TcfParams(cfg.bit_len), rng)
+            message = bob_respond(package, cfg.strategy, cfg.return_kind, rng)
+            if cfg.return_kind is ReturnKind.CLASSICAL:
+                accepted = alice_verify_classical(record, message.mask)
+            else:
+                accepted = alice_verify_quantum(
+                    record, message.state, cfg.verify_method, rng
+                )
+            events += (not accepted) if cfg.statistic == "detection" else accepted
+        assert run_trials(cfg).p_hat == events / cfg.trials
 
     def test_different_seeds_change_counts(self):
         a = run_trials(config(trials=2_000, seed=0))

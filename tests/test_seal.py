@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -37,7 +38,7 @@ from qseal.seal import (
 )
 from qseal.sparsestate import SparseState, singleton, uniform_superposition
 from qseal.symcrypto import enc
-from qseal.tcf import TcfParams
+from qseal.tcf import TcfOracle, TcfParams
 
 
 def seal_binary(seed: int = 0, bits: int = 16):
@@ -253,6 +254,40 @@ class TestPackageInvariants:
                 SparseState(16, lopsided),
                 ciphertexts=package.ciphertexts,
             )
+
+
+class TestClawCheck:
+    """The binary package's claw check is a width check plus x1 ^ x2 == shift."""
+
+    def test_oracle_of_another_width_is_rejected_even_when_the_xor_matches(self):
+        oracle = TcfOracle(TcfParams(8), bytes(16), BitString(8, 0x5A))
+        register = uniform_superposition(
+            (BitString(16, 0x1200), BitString(16, 0x1200 ^ 0x5A))
+        )
+        with pytest.raises(InvalidInputError, match="width"):
+            SealPackage(BinaryTcf(), 16, register, tcf=oracle)
+
+    @pytest.mark.parametrize("bit_len", range(2, 7))
+    def test_agrees_with_eval_and_the_shift_on_every_pair(self, bit_len):
+        rng = Random(bit_len)
+        top = (1 << bit_len) - 1
+        shifts = {1, top, 1 << (bit_len - 1), rng.randint(1, top)}
+        salts = (bytes(16), rng.randbytes(16))
+        strings = [BitString(bit_len, value) for value in range(top + 1)]
+        for shift in sorted(shifts):
+            for salt in salts:
+                oracle = TcfOracle(TcfParams(bit_len), salt, BitString(bit_len, shift))
+                images = [oracle.eval(x) for x in strings]
+                for a, b in combinations(range(top + 1), 2):
+                    same_image = images[a] == images[b]
+                    assert same_image == (a ^ b == shift)
+                    register = uniform_superposition((strings[a], strings[b]))
+                    try:
+                        SealPackage(BinaryTcf(), bit_len, register, tcf=oracle)
+                        accepted = True
+                    except ProtocolCorruptionError:
+                        accepted = False
+                    assert accepted == same_image, (bit_len, shift, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,66 @@ class TestConstruction:
         with pytest.raises(TypeError):
             del state.terms[bs(4, 2)]
         assert state.isclose(uniform(4, 1, 2))
+
+    @given(st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_canonical_order_whatever_the_input_order(self, data):
+        """Sorted, reversed, shuffled and read-only inputs build one state, and
+        both construction paths (already in order, needs sorting) validate."""
+        bit_len = data.draw(st.integers(min_value=1, max_value=10), label="bit_len")
+        values = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=(1 << bit_len) - 1),
+                min_size=1, max_size=12, unique=True,
+            ),
+            label="values",
+        )
+        raw = data.draw(
+            st.lists(
+                st.floats(min_value=0.1, max_value=1.0) | st.floats(-1.0, -0.1),
+                min_size=len(values), max_size=len(values),
+            ),
+            label="raw",
+        )
+        norm = math.sqrt(sum(r * r for r in raw))
+        items = sorted(
+            ((bs(bit_len, v), r / norm) for v, r in zip(values, raw)),
+            key=lambda term: term[0].value,
+        )
+        shuffled = data.draw(st.permutations(items), label="shuffled")
+        inputs = [
+            dict(items),
+            dict(reversed(items)),
+            dict(shuffled),
+            MappingProxyType(dict(shuffled)),
+        ]
+        states = [SparseState(bit_len, terms) for terms in inputs]
+        for state in states:
+            assert list(state.terms.items()) == items
+            assert state.branches == tuple(key for key, _ in items)
+            assert state == states[0] and hash(state) == hash(states[0])
+
+        # The state copies its terms: later edits to the caller's dict (in
+        # order or not) leave it unchanged.
+        for caller in (dict(items), dict(reversed(items))):
+            state = SparseState(bit_len, caller)
+            caller[items[0][0]] = 5.0
+            caller[bs(bit_len + 1, 0)] = 1.0
+            del caller[items[-1][0]]
+            assert list(state.terms.items()) == items
+
+        first_key, first_amp = items[0]
+        bad_inputs = [
+            # A key of another width, placed last in value order.
+            items + [(bs(bit_len + 1, 1 << bit_len), first_amp)],
+            [(first_key, 0.0)] + items[1:],
+            [(first_key, math.nan)] + items[1:],
+            [(key, 2.0 * amp) for key, amp in items],
+        ]
+        for bad in bad_inputs:
+            for terms in (dict(bad), dict(reversed(bad))):
+                with pytest.raises(InvalidInputError):
+                    SparseState(bit_len, terms)
 
     def test_wide_registers_work(self):
         state = uniform(256, 1, (1 << 256) - 1, 17)
