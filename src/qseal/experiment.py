@@ -196,8 +196,8 @@ def theory_rate(config: TrialConfig) -> float:
 def _run_one(config: TrialConfig, index: int, params: TcfParams | None) -> bool:
     """One seal/respond/verify round; True when the tracked event occurred.
 
-    ``params`` is the binary mode's TcfParams(config.bit_len), built once
-    per run; n-ary rounds ignore it.
+    ``params`` is TcfParams(config.bit_len) in binary mode, built once per
+    run, and None in n-ary mode.
     """
     rng = _spawned_rng(config.seed, "trial", index)
     if params is not None:

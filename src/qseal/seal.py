@@ -133,8 +133,9 @@ class SealPackage:
     A binary package's register must be a claw of its function: the
     register has the function's width (InvalidInputError otherwise) and its
     branches x1, x2 satisfy x1 ^ x2 == shift (ProtocolCorruptionError
-    otherwise).  For this family that is exactly eval(x1) == eval(x2), so the
-    check computes no hash.  An n-ary package's branches must each match
+    otherwise).  For this family that is eval(x1) == eval(x2) up to hash
+    collisions, which the shift test never admits, even for short images;
+    the check computes no hash.  An n-ary package's branches must each match
     exactly one ciphertext's key tag.
     """
 

@@ -500,30 +500,24 @@ class TestSimulate:
         assert "p_theory=0.750000" in line
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "flags",
         [
-            ("--mode", "binary"),
-            ("--mode", "nary"),
-            ("--k", "7"),
-            ("--strategy", "honest"),
-            ("--strategy", "measure-keep"),
-            ("--kind", "quantum"),
-            ("--method", "helstrom"),
+            ["--mode", "binary"],
+            ["--mode", "nary"],
+            ["--k", "7"],
+            ["--strategy", "honest"],
+            ["--strategy", "measure-keep"],
+            ["--kind", "quantum"],
+            ["--method", "helstrom"],
+            ["--mode", "nary", "--k", "7", "--strategy", "measure-keep",
+             "--method", "helstrom"],
         ],
     )
-    def test_mixture_refuses_protocol_flags(self, capsys, flag, value):
-        assert run("simulate", "--mixture", flag, value, "--trials", "50") == 2
+    def test_mixture_refuses_protocol_flags(self, capsys, flags):
+        assert run("simulate", "--mixture", *flags, "--trials", "50") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and flag in captured.err
-
-    def test_mixture_refuses_a_whole_protocol(self, capsys):
-        argv = [
-            "simulate", "--mixture", "--mode", "nary", "--k", "7",
-            "--strategy", "measure-keep", "--method", "helstrom", "--trials", "50",
-        ]
-        assert run(*argv) == 2
-        assert capsys.readouterr().out == ""
+        assert captured.err.startswith("error: ") and flags[0] in captured.err
 
     def test_absent_protocol_flags_take_the_documented_defaults(self, capsys):
         assert run("simulate", "--trials", "40", "--seed", "3") == 0
@@ -587,7 +581,7 @@ class TestSimulate:
             st.integers(min_value=-1, max_value=3),
         ),
         seed=st.sampled_from([0, 1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
-        mixture=st.booleans(),
+        mixture=st.none() | st.integers(min_value=0, max_value=5),
         write=st.booleans(),
     )
     @settings(max_examples=400, derandomize=True, deadline=None)
@@ -597,23 +591,33 @@ class TestSimulate:
         """Every simulate request either runs (0) or is a usage error (2).
 
         The draws lean towards valid requests, so that most examples reach
-        the trials; the widths 1024..1100 have no float 2^bits.
+        the trials; the widths 1024..1100 have no float 2^bits.  ``mixture``
+        None runs the protocol; a count n runs --mixture with the first n
+        protocol flags, and any such flag makes it a usage error.
         """
         mode, k = mode_k
         strategy, kind = strategy_kind
-        argv = [
-            "simulate", "--mode", mode, "--bits", str(bits),
-            "--strategy", strategy, "--kind", kind, "--method", method,
-            "--trials", str(trials), f"--seed={seed}",
+        protocol = [
+            ["--mode", mode], ["--k", str(k)], ["--strategy", strategy],
+            ["--kind", kind], ["--method", method],
         ]
-        argv += [] if k is None else ["--k", str(k)]
-        argv += ["--mixture"] if mixture else []
+        if k is None:
+            del protocol[1]
+        given = protocol if mixture is None else protocol[:mixture]
+        argv = [
+            "simulate", "--bits", str(bits), "--trials", str(trials),
+            f"--seed={seed}", *(part for flag in given for part in flag),
+        ]
+        argv += [] if mixture is None else ["--mixture"]
         with tempfile.TemporaryDirectory() as out:
             if write:
                 argv += ["--csv", str(Path(out, "row.csv"))]
                 argv += ["--out-report", str(Path(out, "report.json"))]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 2), argv
+                code = main(argv)
+        assert code in (0, 2), argv
+        if mixture is not None and given:
+            assert code == 2, argv
 
     def test_honest_helstrom_combination_rejected(self, capsys):
         assert (

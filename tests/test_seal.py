@@ -267,6 +267,16 @@ class TestClawCheck:
         with pytest.raises(InvalidInputError, match="width"):
             SealPackage(BinaryTcf(), 16, register, tcf=oracle)
 
+    def test_truncated_images_colliding_off_the_shift_are_no_claw(self):
+        # With 16-bit images at 8 bits two canonical classes of this instance
+        # share an image, so eval cannot tell 164 from 228; the shift can.
+        salt = (4).to_bytes(16, "big")
+        oracle = TcfOracle(TcfParams(8, 16), salt, BitString(8, 0x5A))
+        a, b = BitString(8, 164), BitString(8, 228)
+        assert oracle.eval(a) == oracle.eval(b) and (a ^ b).value != 0x5A
+        with pytest.raises(ProtocolCorruptionError):
+            SealPackage(BinaryTcf(), 8, uniform_superposition((a, b)), tcf=oracle)
+
     @pytest.mark.parametrize("bit_len", range(2, 7))
     def test_agrees_with_eval_and_the_shift_on_every_pair(self, bit_len):
         rng = Random(bit_len)
