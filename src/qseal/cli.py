@@ -13,10 +13,12 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from pathlib import Path
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import documents
 from .errors import (
@@ -236,91 +238,121 @@ def cmd_curve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qseal",
-        description="Quantum seal protocol simulator: seal, open, and verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _seal_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["binary", "nary"], required=True)
+    p.add_argument("--bits", type=int, required=True, help="branch width")
+    p.add_argument("--k", type=int, help="branch count (nary only)")
+    p.add_argument("--secret", help="hex secret to seal (nary only)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-package", required=True)
+    p.add_argument("--out-secret", required=True)
 
-    p_seal = sub.add_parser("seal", help="seal a secret; write package and record")
-    p_seal.add_argument("--mode", choices=["binary", "nary"], required=True)
-    p_seal.add_argument("--bits", type=int, required=True, help="branch width")
-    p_seal.add_argument("--k", type=int, help="branch count (nary only)")
-    p_seal.add_argument("--secret", help="hex secret to seal (nary only)")
-    p_seal.add_argument("--seed", type=int, default=0)
-    p_seal.add_argument("--out-package", required=True)
-    p_seal.add_argument("--out-secret", required=True)
-    p_seal.set_defaults(handler=cmd_seal)
 
-    p_open = sub.add_parser("open", help="measure a package and print the secret")
-    p_open.add_argument("--package", required=True)
-    p_open.add_argument("--seed", type=int, default=0)
-    p_open.set_defaults(handler=cmd_open)
+def _open_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--package", required=True)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_respond = sub.add_parser("respond", help="answer a return challenge")
-    p_respond.add_argument("--package", required=True)
-    p_respond.add_argument(
+
+def _respond_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--package", required=True)
+    p.add_argument(
         "--strategy",
         choices=[s.value for s in CheatStrategy],
         default=CheatStrategy.HONEST.value,
     )
-    p_respond.add_argument(
-        "--kind", choices=[k.value for k in ReturnKind], required=True
-    )
-    p_respond.add_argument("--seed", type=int, default=0)
-    p_respond.add_argument("--out", required=True)
-    p_respond.set_defaults(handler=cmd_respond)
+    p.add_argument("--kind", choices=[k.value for k in ReturnKind], required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
 
-    p_verify = sub.add_parser("verify", help="judge a response against a record")
-    p_verify.add_argument("--secret", required=True, help="secret record path")
-    p_verify.add_argument("--return", dest="return_path", required=True)
-    p_verify.add_argument(
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--secret", required=True, help="secret record path")
+    p.add_argument("--return", dest="return_path", required=True)
+    p.add_argument(
         "--method",
         choices=[m.value for m in VerifyMethod],
         default=VerifyMethod.PROJECTIVE.value,
         help="quantum returns only; classical returns have a fixed check",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(handler=cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo rate estimate")
-    p_sim.add_argument("--mode", choices=["binary", "nary"])
-    p_sim.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--strategy", choices=[s.value for s in CheatStrategy])
-    p_sim.add_argument("--kind", choices=[k.value for k in ReturnKind])
-    p_sim.add_argument("--method", choices=[m.value for m in VerifyMethod])
-    p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
+
+def _simulate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["binary", "nary"])
+    p.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
+    p.add_argument("--k", type=int)
+    p.add_argument("--strategy", choices=[s.value for s in CheatStrategy])
+    p.add_argument("--kind", choices=[k.value for k in ReturnKind])
+    p.add_argument("--method", choices=[m.value for m in VerifyMethod])
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--mixture",
         action="store_true",
         help="run the unlabeled-branch diagnostic instead of a strategy",
     )
-    p_sim.add_argument("--csv", help="also write a one-row CSV")
-    p_sim.add_argument("--out-report", help="also write a report document")
-    p_sim.set_defaults(handler=cmd_simulate)
+    p.add_argument("--csv", help="also write a one-row CSV")
+    p.add_argument("--out-report", help="also write a report document")
 
-    p_curve = sub.add_parser(
-        "curve", help="detection rate versus branch count, as CSV"
-    )
-    p_curve.add_argument("--k-max", type=int, required=True)
-    p_curve.add_argument("--trials", type=int, default=20_000, help="per point")
-    p_curve.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
-    p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.add_argument(
+
+def _curve_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--trials", type=int, default=20_000, help="per point")
+    p.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--workers", type=int, default=1,
         help="threads over whole k points: same output, no speedup under the GIL",
     )
-    p_curve.add_argument("--out", help="CSV path; stdout when omitted")
-    p_curve.set_defaults(handler=cmd_curve)
+    p.add_argument("--out", help="CSV path; stdout when omitted")
 
+
+# name: (help line, handler, option builder), in the order help lists them.
+COMMANDS = {
+    "seal": ("seal a secret; write package and record", cmd_seal, _seal_options),
+    "open": ("measure a package and print the secret", cmd_open, _open_options),
+    "respond": ("answer a return challenge", cmd_respond, _respond_options),
+    "verify": ("judge a response against a record", cmd_verify, _verify_options),
+    "simulate": ("Monte Carlo rate estimate", cmd_simulate, _simulate_options),
+    "curve": (
+        "detection rate versus branch count, as CSV", cmd_curve, _curve_options
+    ),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand with its help line, but
+    options only on the subcommands whose name is a token of ``argv``.
+
+    argparse dispatches only to a subcommand named by a whole argv token, so
+    parsing ``argv`` gives the same result, output and exit code as the full
+    parser, which ``build_parser(list(COMMANDS))`` builds.  The saving is
+    per call and nothing is cached: a one-shot CLI process builds its parser
+    once and pays for every option it adds.  The terminal width is read once
+    per build rather than once per formatter, as argparse's default does.
+    """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = argparse.ArgumentParser(
+        prog="qseal",
+        description="Quantum seal protocol simulator: seal, open, and verify.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    invoked = set(argv)
+    for name, (help_text, handler, add_options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if name in invoked:
+            add_options(command)
+            command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

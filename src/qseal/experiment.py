@@ -21,6 +21,7 @@ from random import Random
 from .bits import BitString
 from .errors import InvalidInputError
 from .seal import (
+    MAX_BIT_LEN,
     BinaryTcf,
     CheatStrategy,
     NarySymmetric,
@@ -291,8 +292,10 @@ def mixture_diagnostic(
     per-branch detection figure because here nobody tells the verifier
     which branch the cheater kept.
     """
-    if bit_len < 3:
-        raise InvalidInputError(f"bit_len must be >= 3, got {bit_len}")
+    if not 3 <= bit_len <= MAX_BIT_LEN:
+        raise InvalidInputError(
+            f"bit_len must be in [3, {MAX_BIT_LEN}], got {bit_len}"
+        )
     amp = 1.0 / math.sqrt(2.0)
     successes = 0
     for index in range(trials):

@@ -46,6 +46,12 @@ from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen, sample_claw
 # Upper bound on superposition branches in n-ary mode.
 MAX_BRANCHES = 64
 
+# Upper bound on branch width for sealing and simulation.  Past 64 bits the
+# collision term k/2^n of every rate is below float resolution, so wider
+# branches change no figure; the cap keeps each draw at most 512 bytes and
+# makes widths that Random.getrandbits cannot take (2^31 and up) a usage error.
+MAX_BIT_LEN = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class BinaryTcf:
@@ -73,7 +79,10 @@ def branch_count(mode: SealMode) -> int:
 
 
 def check_width(mode: SealMode, bit_len: int) -> None:
-    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``."""
+    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``
+    and ``bit_len`` is at most MAX_BIT_LEN."""
+    if bit_len > MAX_BIT_LEN:
+        raise InvalidInputError(f"bit_len {bit_len} exceeds the maximum {MAX_BIT_LEN}")
     if isinstance(mode, BinaryTcf):
         TcfParams(bit_len)
         return

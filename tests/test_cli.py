@@ -6,6 +6,7 @@ All invocations run in-process through main(argv).  Exit contract:
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import tempfile
@@ -16,9 +17,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qseal.cli import main
+from qseal.cli import COMMANDS, build_parser, main
 from qseal.documents import parse_document, KIND_SECRET
-from qseal.seal import CheatStrategy, ReturnKind, VerifyMethod
+from qseal.seal import MAX_BIT_LEN, CheatStrategy, ReturnKind, VerifyMethod
 
 
 def run(*argv: str) -> int:
@@ -142,6 +143,42 @@ class TestSealOpen:
             )
             == 2
         )
+
+    @given(
+        mode_k=st.one_of(
+            st.just(("binary", None)),
+            st.tuples(st.just("nary"), st.integers(min_value=2, max_value=64)),
+            st.tuples(
+                st.sampled_from(["binary", "nary"]),
+                st.none() | st.integers(min_value=1, max_value=65),
+            ),
+        ),
+        bits=st.one_of(
+            st.integers(min_value=-1, max_value=1100),
+            st.integers(min_value=2, max_value=128),
+            st.integers(min_value=MAX_BIT_LEN - 2, max_value=MAX_BIT_LEN + 2),
+            st.integers(min_value=2**31),
+        ),
+        secret=st.none() | st.sampled_from(["", "ab", "00112233", "zz", "abc"]),
+        seed=st.sampled_from([0, 1, 2**63, -(2**63) - 1]),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_no_traceback(self, mode_k, bits, secret, seed):
+        """Every seal request either writes both documents (0) or is a usage
+        error (2), also for widths past MAX_BIT_LEN."""
+        mode, k = mode_k
+        with tempfile.TemporaryDirectory() as out:
+            pkg, sec = Path(out, "p.json"), Path(out, "s.json")
+            argv = [
+                "seal", "--mode", mode, "--bits", str(bits), f"--seed={seed}",
+                "--out-package", str(pkg), "--out-secret", str(sec),
+            ]
+            argv += [] if k is None else ["--k", str(k)]
+            argv += [] if secret is None else [f"--secret={secret}"]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2), argv
+            assert (code == 0) == (pkg.exists() and sec.exists()), argv
 
     def test_open_missing_file_is_io_error(self, tmp_path):
         assert run("open", "--package", str(tmp_path / "nope.json")) == 3
@@ -569,6 +606,8 @@ class TestSimulate:
             st.integers(min_value=-1, max_value=1100),
             st.integers(min_value=3, max_value=128),
             st.integers(min_value=1024, max_value=1100),
+            st.integers(min_value=MAX_BIT_LEN - 2, max_value=MAX_BIT_LEN + 2),
+            st.integers(min_value=2**31),
         ),
         strategy_kind=st.sampled_from(
             list(product(
@@ -591,7 +630,8 @@ class TestSimulate:
         """Every simulate request either runs (0) or is a usage error (2).
 
         The draws lean towards valid requests, so that most examples reach
-        the trials; the widths 1024..1100 have no float 2^bits.  ``mixture``
+        the trials; the widths 1024..1100 have no float 2^bits, and widths
+        past MAX_BIT_LEN, 2^31 and up included, are usage errors.  ``mixture``
         None runs the protocol; a count n runs --mixture with the first n
         protocol flags, and any such flag makes it a usage error.
         """
@@ -670,6 +710,8 @@ class TestCurve:
         bits=st.one_of(
             st.integers(min_value=-1, max_value=1100),
             st.integers(min_value=3, max_value=64),
+            st.integers(min_value=MAX_BIT_LEN - 2, max_value=MAX_BIT_LEN + 2),
+            st.integers(min_value=2**31),
         ),
         trials=st.one_of(
             st.integers(min_value=1, max_value=3),
@@ -692,6 +734,7 @@ class TestCurve:
         The draws lean towards valid requests, so that many examples reach
         the sweep.  At most three trials per point keep each example short;
         with --workers 10**6 the sweep still starts at most k_max - 1 threads.
+        Widths past MAX_BIT_LEN are usage errors.
         """
         argv = [
             "curve", "--k-max", str(k_max), "--bits", str(bits),
@@ -723,6 +766,34 @@ class TestSeedRange:
         capsys.readouterr()
 
 
+# The four commands that draw random branches of --bits bits.
+WIDE_COMMANDS = {
+    "seal": ["seal", "--mode", "nary", "--k", "2", "--secret", "ab"],
+    "simulate": ["simulate", "--mode", "nary", "--k", "2", "--trials", "2"],
+    "mixture": ["simulate", "--mixture", "--trials", "2"],
+    "curve": ["curve", "--k-max", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WIDE_COMMANDS))
+@pytest.mark.parametrize("bits, code", [
+    (MAX_BIT_LEN, 0), (MAX_BIT_LEN + 1, 2), (2**31, 2), (2**63, 2),
+])
+def test_width_cap(tmp_path, capsys, command, bits, code):
+    """--bits past MAX_BIT_LEN exits 2 before any draw; Random.getrandbits
+    would raise OverflowError from 2^31 on."""
+    argv = [*WIDE_COMMANDS[command], "--bits", str(bits)]
+    if command == "seal":
+        argv += [
+            "--out-package", str(tmp_path / "p.json"),
+            "--out-secret", str(tmp_path / "s.json"),
+        ]
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and str(MAX_BIT_LEN) in err
+
+
 @pytest.mark.parametrize("command", sorted(MONTE_CARLO_COMMANDS))
 def test_zero_workers_is_usage_error(capsys, command):
     """curve rejects --workers 0; simulate takes no --workers at all."""
@@ -748,3 +819,56 @@ class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 2
         capsys.readouterr()
+
+    def test_open_adds_only_its_own_options(self, binary_files, monkeypatch, capsys):
+        """One `open` adds one -h per parser (the top level and six
+        subcommands) and open's two options: 9 add_argument calls, where
+        building every subcommand's options makes 42."""
+        pkg, _ = binary_files
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert run("open", "--package", str(pkg)) == 0
+        capsys.readouterr()
+        assert len(calls) == 9, calls
+
+    @given(
+        argv=st.lists(
+            st.sampled_from([
+                # command names, and tokens that only look like them
+                *COMMANDS, "OPEN", "ope", "open=", "--open",
+                # real flags, whole, abbreviated and joined to a value
+                "--mode", "--bits", "--k", "--secret", "--seed", "--out-package",
+                "--out-secret", "--package", "--strategy", "--kind", "--out",
+                "--return", "--method", "--trials", "--mixture", "--csv",
+                "--out-report", "--k-max", "--workers", "-h", "--help",
+                "--pack", "--out-p", "--k-m", "--seed=3", "--kind=quantum",
+                # values
+                "binary", "nary", "honest", "measure-keep", "quantum",
+                "classical", "helstrom", "projective", "16", "3", "0", "x",
+                # stray tokens
+                "-1", "--bogus", "--", "-", "-x",
+            ]),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_parser_for_argv_parses_like_the_full_parser(self, argv):
+        """build_parser(argv) gives the namespace, or the exit code, stdout
+        and stderr, that the parser with every command's options gives."""
+
+        def parse(parser):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    result = parser.parse_args(argv)
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        assert parse(build_parser(argv)) == parse(build_parser(list(COMMANDS)))

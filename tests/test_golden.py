@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -170,6 +171,57 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
     return out
 
 
+# Help and usage errors, which argparse writes: each argv's exit code, stdout
+# and stderr at an 80-column terminal.
+USAGE_ARGV = {
+    "help": ["--help"],
+    **{f"help.{cmd}": [cmd, "--help"] for cmd in (
+        "seal", "open", "respond", "verify", "simulate", "curve",
+    )},
+    "usage.no-command": [],
+    "usage.unknown-command": ["frobnicate"],
+    "usage.negative-token": ["-1"],
+    "usage.flag-before-command": ["--bogus", "open", "--package", "x"],
+    "usage.missing-flag": ["respond", "--package", "x", "--out", "y"],
+    "usage.bad-choice": ["simulate", "--kind", "telepathic"],
+    "usage.bad-int": ["curve", "--k-max", "four"],
+    "usage.extra-argument": ["open", "--package", "x", "extra"],
+    "usage.ambiguous-abbreviation": [
+        "seal", "--mode", "binary", "--bits", "16", "--out", "x",
+    ],
+}
+
+USAGE_GOLDEN = {
+    "help": "acf37845ff17efdc9ee312696c9b5302bd1f6205cd5cb4d771dbcf43368af358",
+    "help.curve": "6e09540e049b5009d063a2dd6ddf50f155fff84af26cba2015a865d47a36b97c",
+    "help.open": "4e958add566e1ba9e005c8829230f5a327778fa47226bdeff2db2ededb88cf51",
+    "help.respond": "b03cf322b5923e18cbc0c1c9fb783e7bce63123e282be516fe2af50edff057cd",
+    "help.seal": "a8656e4c5dd2ca1571f63dca2fc60b4d7b36ebb421967e4c59fdf807a836d0b1",
+    "help.simulate": "74f5877daecf8b45496d3968e3b2b4edd9da42661a6ad9e6746c8d96a2046118",
+    "help.verify": "84c229ae02e7dacc9cfdcc86462558ed2c935bc17f2e671ee7aee86f8941e8a0",
+    "usage.ambiguous-abbreviation": "42b3e052fab89a160460b6b83a5cd2d6c6a1950b8121c35304cd3fcbe39b9069",
+    "usage.bad-choice": "7d0e1ea54cf6c9d24999eff63ddd8d17df5fab60d408e80c3c7d28221f2cfe7d",
+    "usage.bad-int": "d68a5df5b9f5214e53f93a1f0e6d9628af8dcec4404e4d392edaab2ac3f723be",
+    "usage.extra-argument": "b2bddcc71b0d66624d118a7dbd244449cf75f8f25dba95739bd3869399f07445",
+    "usage.flag-before-command": "b7a093af5d8a5b2d25903710d02f22a34b848e65470c68f3fa28c1f4531e0245",
+    "usage.missing-flag": "133f8a1b8ea9e065c9511e22b2584462e7b32559da18e5878d793afa61858ee8",
+    "usage.negative-token": "0161be43fb85d7f44478e52c0a7398783e0d85ec51e57c32167067442f0b5e67",
+    "usage.no-command": "a0d7a77651508160aa809c10c6a55f4f53342b00d8f83cb67c418f2df01928d9",
+    "usage.unknown-command": "bd7f2181632e3c05426270df5c119e6e91132bd40aa05cf8fb265d23bbfe5334",
+}
+
+
+def _usage_digests() -> dict[str, str]:
+    digests = {}
+    for name, argv in sorted(USAGE_ARGV.items()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
 def _digests(tmp: Path) -> dict[str, str]:
     return {
         name: hashlib.sha256(data).hexdigest()
@@ -181,9 +233,22 @@ def test_outputs_are_byte_identical_to_the_pinned_digests(tmp_path):
     assert _digests(tmp_path) == GOLDEN
 
 
+def test_help_and_usage_errors_are_byte_identical_to_the_pinned_digests(
+    monkeypatch,
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage_digests() == USAGE_GOLDEN
+
+
+def _print_table(title: str, digests: dict[str, str]) -> None:
+    sys.stdout.write(f"{title} = {{\n")
+    for name, digest in digests.items():
+        sys.stdout.write(f'    "{name}": "{digest}",\n')
+    sys.stdout.write("}\n")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        sys.stdout.write("GOLDEN = {\n")
-        for name, digest in _digests(Path(scratch)).items():
-            sys.stdout.write(f'    "{name}": "{digest}",\n')
-        sys.stdout.write("}\n")
+        _print_table("GOLDEN", _digests(Path(scratch)))
+    os.environ["COLUMNS"] = "80"
+    _print_table("USAGE_GOLDEN", _usage_digests())
