@@ -328,8 +328,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     parsing ``argv`` gives the same result, output and exit code as the full
     parser, which ``build_parser(list(COMMANDS))`` builds.  The saving is
     per call and nothing is cached: a one-shot CLI process builds its parser
-    once and pays for every option it adds.  The terminal width is read once
-    per build rather than once per formatter, as argparse's default does.
+    once and pays for every option it adds.  All formatters of one build
+    share one terminal-width read, at the width argparse would pick.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
