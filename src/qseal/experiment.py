@@ -1,10 +1,14 @@
 """Monte Carlo estimation of acceptance and detection rates.
 
-Every trial seals fresh material, runs one respond/verify round, and counts
-the outcome.  Trials get their own random.Random seeded by hashing the
-master seed with the trial index, so results are reproducible bit-for-bit
-and independent of how trials are scheduled: fig1_curve may run its k
-points on threads without changing any count.
+Every trial draws exactly what a seal draws, runs one respond/verify round,
+and counts the outcome.  It builds only the register and what the verdict
+reads, through the same draw helpers and role cores that alice_seal_*,
+bob_respond and alice_verify_* wrap; ciphertexts, claw images, packages and
+records draw nothing and are never read by a verdict, so no trial makes
+them.  Trials get their own random.Random seeded by hashing the master seed
+with the trial index, so results are reproducible bit-for-bit and
+independent of how trials are scheduled: fig1_curve may run its k points on
+threads without changing any count.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -28,14 +32,15 @@ from .seal import (
     ReturnKind,
     SealMode,
     VerifyMethod,
-    alice_seal_binary,
-    alice_seal_nary,
-    alice_verify_classical,
-    alice_verify_quantum,
-    bob_respond,
     branch_count,
+    check_register,
     check_width,
+    classical_verdict,
     compatible,
+    draw_branches,
+    draw_claw,
+    quantum_verdict,
+    register_response,
 )
 from .sparsestate import (
     SparseState,
@@ -197,33 +202,37 @@ def theory_rate(config: TrialConfig) -> float:
 def _run_one(config: TrialConfig, index: int, params: TcfParams | None) -> bool:
     """One seal/respond/verify round; True when the tracked event occurred.
 
-    ``params`` is TcfParams(config.bit_len) in binary mode, built once per
-    run, and None in n-ary mode.
+    The round makes the RNG calls of alice_seal_*, bob_respond and
+    alice_verify_* in their order, so its verdict is theirs, but builds only
+    the register and its branches.  ``params`` is TcfParams(config.bit_len)
+    in binary mode, built once per run, and None in n-ary mode.
     """
     rng = _spawned_rng(config.seed, "trial", index)
     if params is not None:
-        package, record = alice_seal_binary(params, rng)
+        _, *branches = draw_claw(params, rng)
     else:
-        secret = rng.getrandbits(8 * NARY_SECRET_BYTES).to_bytes(
-            NARY_SECRET_BYTES, "big"
-        )
-        package, record = alice_seal_nary(
-            config.mode.k, secret, config.bit_len, rng
-        )
-    message = bob_respond(package, config.strategy, config.return_kind, rng)
+        rng.getrandbits(8 * NARY_SECRET_BYTES)  # the secret a seal would draw
+        branches = draw_branches(config.mode.k, config.bit_len, rng)
+    register = uniform_superposition(branches)
+    check_register(config.mode, register)
+    answer = register_response(register, config.strategy, config.return_kind, rng)
     if config.return_kind is ReturnKind.CLASSICAL:
-        accepted = alice_verify_classical(record, message.mask)
+        x1, x2 = branches
+        accepted = classical_verdict(x1, x2, answer)
     else:
-        accepted = alice_verify_quantum(
-            record, message.state, config.verify_method, rng
-        )
+        accepted = quantum_verdict(register, answer, config.verify_method, rng)
     if config.statistic == "detection":
         return not accepted
     return accepted
 
 
 def run_trials(config: TrialConfig) -> EstimateReport:
-    """Estimate the configured statistic over config.trials rounds, serially."""
+    """Estimate the configured statistic over config.trials rounds, serially.
+
+    Each round's verdict is that of sealing, responding and verifying
+    through the public roles on the trial's stream; the round draws what
+    they draw but builds only the register and what the verdict reads.
+    """
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
     successes = sum(
         1 for index in range(config.trials) if _run_one(config, index, params)

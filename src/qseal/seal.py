@@ -41,7 +41,7 @@ from .sparsestate import (
     uniform_superposition,
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
-from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen, sample_claw
+from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen
 
 # Upper bound on superposition branches in n-ary mode.
 MAX_BRANCHES = 64
@@ -238,6 +238,27 @@ ReturnMessage = QuantumReturn | ClassicalReturn
 # ---------------------------------------------------------------------------
 
 
+def draw_claw(
+    params: TcfParams, rng: Random
+) -> tuple[TcfKeyPair, BitString, BitString]:
+    """Every draw of a binary seal: a fresh instance, then a uniform claw
+    (x1, x1 ^ shift) of it."""
+    keypair = keygen(params, rng)
+    x1 = BitString.random(params.bit_len, rng)
+    return keypair, x1, x1 ^ keypair.shift
+
+
+def draw_branches(k: int, bit_len: int, rng: Random) -> list[BitString]:
+    """Every draw of an n-ary seal after its secret: k distinct ``bit_len``-bit
+    branches, in the order first drawn."""
+    # Rejection sampling: a repeated draw leaves the dict, and the order of
+    # first draws, unchanged.
+    values: dict[int, None] = {}
+    while len(values) < k:
+        values[rng.getrandbits(bit_len)] = None
+    return [BitString(bit_len, value) for value in values]
+
+
 def alice_seal_binary(
     params: TcfParams, rng: Random
 ) -> tuple[SealPackage, AliceSecret]:
@@ -245,9 +266,8 @@ def alice_seal_binary(
 
     The sealed secret is the claw's image.
     """
-    keypair: TcfKeyPair = keygen(params, rng)
-    claw = sample_claw(keypair, rng)
-    register = uniform_superposition((claw.x1, claw.x2))
+    keypair, x1, x2 = draw_claw(params, rng)
+    register = uniform_superposition((x1, x2))
     package = SealPackage(
         mode=BinaryTcf(),
         bit_len=params.bit_len,
@@ -256,8 +276,8 @@ def alice_seal_binary(
     )
     record = AliceSecret(
         mode=BinaryTcf(),
-        secret=claw.image,
-        branches=(claw.x1, claw.x2),
+        secret=keypair.eval(x1),
+        branches=(x1, x2),
         trapdoor=keypair.shift,
         original_state=register,
     )
@@ -276,12 +296,7 @@ def alice_seal_nary(
     if not secret:
         raise InvalidInputError("secret must be nonempty")
     check_width(mode, bit_len)
-    # Rejection sampling: a repeated draw leaves the dict, and the order of
-    # first draws, unchanged.
-    values: dict[int, None] = {}
-    while len(values) < k:
-        values[rng.getrandbits(bit_len)] = None
-    chosen = [BitString(bit_len, value) for value in values]
+    chosen = draw_branches(k, bit_len, rng)
     register = uniform_superposition(chosen)
     package = SealPackage(
         mode=mode,
@@ -340,17 +355,31 @@ def bob_respond(
         raise UnsupportedModeError(
             f"strategy {strategy.value} cannot answer a {kind.value} challenge"
         )
+    answer = register_response(package.register, strategy, kind, rng)
+    if kind is ReturnKind.QUANTUM:
+        return QuantumReturn(answer)
+    return ClassicalReturn(answer)
+
+
+def register_response(
+    register: SparseState,
+    strategy: CheatStrategy,
+    kind: ReturnKind,
+    rng: Random,
+) -> SparseState | BitString:
+    """Core of bob_respond for a compatible strategy and kind: the returned
+    state (quantum) or mask (classical), read off the register alone."""
     if strategy is CheatStrategy.HONEST:
         if kind is ReturnKind.QUANTUM:
-            return QuantumReturn(package.register)
-        return ClassicalReturn(hadamard_measure(package.register, rng))
+            return register
+        return hadamard_measure(register, rng)
     # Every cheating strategy reads the register first.
-    _, collapsed = measure_computational(package.register, rng)
+    _, collapsed = measure_computational(register, rng)
     if strategy is CheatStrategy.MEASURE_KEEP:
-        return QuantumReturn(collapsed)
+        return collapsed
     if strategy is CheatStrategy.MEASURE_RANDOM_STATE:
-        return QuantumReturn(singleton(BitString.random(package.bit_len, rng)))
-    return ClassicalReturn(BitString.random(package.bit_len, rng))
+        return singleton(BitString.random(register.bit_len, rng))
+    return BitString.random(register.bit_len, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +405,16 @@ def alice_verify_quantum(
     accepted outright.  A state of another width raises InvalidInputError
     before any draw.
     """
-    original = record.original_state
+    return quantum_verdict(record.original_state, returned, method, rng)
+
+
+def quantum_verdict(
+    original: SparseState,
+    returned: SparseState,
+    method: VerifyMethod,
+    rng: Random,
+) -> bool:
+    """Core of alice_verify_quantum: reads only the original state."""
     if method is VerifyMethod.PROJECTIVE:
         overlap = inner_product(original, returned)
         return rng.random() < overlap * overlap
@@ -398,4 +436,9 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
             "classical verification is defined only for two-branch seals"
         )
     x1, x2 = record.branches
+    return classical_verdict(x1, x2, mask)
+
+
+def classical_verdict(x1: BitString, x2: BitString, mask: BitString) -> bool:
+    """Core of alice_verify_classical: reads only the two branches."""
     return mask.dot(x1 ^ x2) == 0

@@ -6,6 +6,8 @@ Closed-form constants are cross-checked against dense linear algebra here
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import threading
 from dataclasses import replace
@@ -17,8 +19,10 @@ from qseal import experiment
 from qseal.errors import InvalidInputError
 from qseal.experiment import (
     CSV_HEADER,
+    NARY_SECRET_BYTES,
     EstimateReport,
     TrialConfig,
+    _run_one,
     _spawned_rng,
     curve_csv,
     fig1_curve,
@@ -29,17 +33,21 @@ from qseal.experiment import (
     wilson_interval,
 )
 from qseal.seal import (
+    AliceSecret,
     BinaryTcf,
     CheatStrategy,
     NarySymmetric,
     ReturnKind,
+    SealPackage,
     VerifyMethod,
     alice_seal_binary,
+    alice_seal_nary,
     alice_verify_classical,
     alice_verify_quantum,
     bob_respond,
 )
-from qseal.tcf import TcfParams
+from qseal.symcrypto import Ciphertext
+from qseal.tcf import TcfOracle, TcfParams
 
 HELSTROM_2 = 0.8535533905932737
 
@@ -56,6 +64,51 @@ def config(**overrides) -> TrialConfig:
     )
     base.update(overrides)
     return TrialConfig(**base)
+
+
+def valid_configs(modes, bit_lens, trials: int) -> list[TrialConfig]:
+    """Every valid TrialConfig over the given modes and widths."""
+    found = []
+    for position, (mode, bit_len, strategy, kind, method) in enumerate(
+        itertools.product(
+            modes, bit_lens, CheatStrategy, ReturnKind, (None, *VerifyMethod)
+        )
+    ):
+        try:
+            found.append(
+                TrialConfig(mode, bit_len, strategy, kind, method, trials, position)
+            )
+        except InvalidInputError:
+            pass
+    return found
+
+
+def config_id(cfg: TrialConfig) -> str:
+    mode = "binary" if isinstance(cfg.mode, BinaryTcf) else f"k{cfg.mode.k}"
+    method = cfg.verify_method.value if cfg.verify_method else "-"
+    return (
+        f"{mode}-{cfg.bit_len}-{cfg.strategy.value}-{cfg.return_kind.value}-{method}"
+    )
+
+
+def public_round(cfg: TrialConfig, index: int):
+    """Trial ``index`` of ``cfg`` through alice_seal_*, bob_respond and
+    alice_verify_*, with TcfParams built afresh: the tracked event and the
+    stream it leaves behind."""
+    rng = _spawned_rng(cfg.seed, "trial", index)
+    if isinstance(cfg.mode, BinaryTcf):
+        package, record = alice_seal_binary(TcfParams(cfg.bit_len), rng)
+    else:
+        secret = rng.getrandbits(8 * NARY_SECRET_BYTES).to_bytes(
+            NARY_SECRET_BYTES, "big"
+        )
+        package, record = alice_seal_nary(cfg.mode.k, secret, cfg.bit_len, rng)
+    message = bob_respond(package, cfg.strategy, cfg.return_kind, rng)
+    if cfg.return_kind is ReturnKind.CLASSICAL:
+        accepted = alice_verify_classical(record, message.mask)
+    else:
+        accepted = alice_verify_quantum(record, message.state, cfg.verify_method, rng)
+    return (not accepted) if cfg.statistic == "detection" else accepted, rng
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +377,88 @@ class TestDeterminism:
             trials=300,
             seed=41,
         )
-        events = 0
-        for index in range(cfg.trials):
-            rng = _spawned_rng(cfg.seed, "trial", index)
-            package, record = alice_seal_binary(TcfParams(cfg.bit_len), rng)
-            message = bob_respond(package, cfg.strategy, cfg.return_kind, rng)
-            if cfg.return_kind is ReturnKind.CLASSICAL:
-                accepted = alice_verify_classical(record, message.mask)
-            else:
-                accepted = alice_verify_quantum(
-                    record, message.state, cfg.verify_method, rng
-                )
-            events += (not accepted) if cfg.statistic == "detection" else accepted
+        events = sum(public_round(cfg, index)[0] for index in range(cfg.trials))
         assert run_trials(cfg).p_hat == events / cfg.trials
 
     def test_different_seeds_change_counts(self):
         a = run_trials(config(trials=2_000, seed=0))
         b = run_trials(config(trials=2_000, seed=1))
         assert a.p_hat != b.p_hat  # equal would be a one-in-thousands fluke
+
+
+# ---------------------------------------------------------------------------
+# the trial kernel: the public path's verdicts from the register alone
+# ---------------------------------------------------------------------------
+
+EQUIVALENCE_CONFIGS = valid_configs(
+    [BinaryTcf(), NarySymmetric(2), NarySymmetric(8), NarySymmetric(64)],
+    (16, 64),
+    trials=300,
+)
+
+
+class TestTrialKernel:
+    def test_every_valid_combination_is_covered(self):
+        # Per mode and width: 5 quantum combinations, plus 2 classical ones
+        # (honest and measure-guess-d) for the two-branch modes.
+        assert len(EQUIVALENCE_CONFIGS) == 2 * (7 + 7 + 5 + 5)
+        classical_k2 = {
+            (cfg.bit_len, cfg.strategy)
+            for cfg in EQUIVALENCE_CONFIGS
+            if cfg.mode == NarySymmetric(2) and cfg.return_kind is ReturnKind.CLASSICAL
+        }
+        assert classical_k2 == {
+            (bit_len, strategy)
+            for bit_len in (16, 64)
+            for strategy in (CheatStrategy.HONEST, CheatStrategy.MEASURE_GUESS_MASK)
+        }
+
+    @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=config_id)
+    def test_verdicts_and_stream_match_the_public_roles(self, monkeypatch, cfg):
+        made = []
+
+        def recording_rng(*args):
+            made.append(_spawned_rng(*args))
+            return made[-1]
+
+        monkeypatch.setattr(experiment, "_spawned_rng", recording_rng)
+        params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
+        for index in range(cfg.trials):
+            verdict = _run_one(cfg, index, params)
+            expected, public_rng = public_round(cfg, index)
+            assert verdict == expected, index
+            # Both left the trial's stream at the same place.
+            assert made[-1].getrandbits(64) == public_rng.getrandbits(64), index
+
+    @pytest.mark.parametrize(
+        "mode",
+        [BinaryTcf(), NarySymmetric(2), NarySymmetric(8), NarySymmetric(32)],
+        ids=["binary", "k2", "k8", "k32"],
+    )
+    def test_a_trial_hashes_once_and_builds_no_seal_objects(self, monkeypatch, mode):
+        """The one SHA-256 call is the trial's stream derivation; no
+        ciphertext, claw image, package, record or oracle is built."""
+        hashes = 0
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(*args, **kwargs):
+            nonlocal hashes
+            hashes += 1
+            return real_sha256(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Monte Carlo trial built an output-only object")
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        for cfg in valid_configs([mode], (16,), trials=20):
+            hashes = 0
+            run_trials(cfg)
+            assert hashes == cfg.trials, config_id(cfg)
+        for cls in (SealPackage, AliceSecret, TcfOracle):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        monkeypatch.setattr(Ciphertext, "__init__", refuse)
+        for cfg in valid_configs([mode], (16,), trials=20):
+            run_trials(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -391,15 +391,16 @@ class TestRespond:
             assert compatible(strategy, kind) is expected
 
     def test_incompatible_pairs_raise(self):
-        package, _ = seal_binary()
-        with pytest.raises(UnsupportedModeError):
-            bob_respond(
-                package, CheatStrategy.MEASURE_GUESS_MASK, ReturnKind.QUANTUM, Random(0)
-            )
-        with pytest.raises(UnsupportedModeError):
-            bob_respond(
-                package, CheatStrategy.MEASURE_KEEP, ReturnKind.CLASSICAL, Random(0)
-            )
+        for package, _ in (seal_binary(), seal_nary(k=2), seal_nary(k=8)):
+            for strategy in CheatStrategy:
+                for kind in ReturnKind:
+                    if compatible(strategy, kind):
+                        continue
+                    rng = Random(0)
+                    before = rng.getstate()
+                    with pytest.raises(UnsupportedModeError):
+                        bob_respond(package, strategy, kind, rng)
+                    assert rng.getstate() == before, (package.mode, strategy, kind)
 
     def test_honest_quantum_returns_the_register_untouched(self):
         package, _ = seal_binary()
@@ -523,13 +524,20 @@ class TestVerifyQuantum:
         assert abs(rejected / trials - 0.8535533905932737) < 0.006
 
     def test_width_mismatch_rejected(self):
-        _, record = seal_binary(bits=16)
-        for method in VerifyMethod:
-            rng = Random(0)
-            before = rng.getstate()
-            with pytest.raises(InvalidInputError, match="width"):
-                alice_verify_quantum(record, singleton(BitString(8, 1)), method, rng)
-            assert rng.getstate() == before, method
+        records = [seal_binary()[1], seal_nary(k=2)[1], seal_nary(k=8)[1]]
+        others = [
+            singleton(BitString(8, 1)),
+            singleton(BitString(24, 1)),
+            uniform_superposition(BitString(17, v) for v in range(3)),
+        ]
+        for record in records:
+            for method in VerifyMethod:
+                for returned in others:
+                    rng = Random(0)
+                    before = rng.getstate()
+                    with pytest.raises(InvalidInputError, match="width"):
+                        alice_verify_quantum(record, returned, method, rng)
+                    assert rng.getstate() == before, (record.mode, method, returned)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +573,10 @@ class TestVerifyClassical:
         assert alice_verify_classical(record, message.mask)
 
     def test_more_than_two_branches_unsupported(self):
-        _, record = seal_nary(k=3)
-        with pytest.raises(UnsupportedModeError):
-            alice_verify_classical(record, BitString(16, 0))
+        for k in (3, 8, 64):
+            _, record = seal_nary(k=k)
+            with pytest.raises(UnsupportedModeError):
+                alice_verify_classical(record, BitString(16, 0))
 
     def test_width_mismatch_rejected(self):
         _, record = seal_binary(bits=16)
