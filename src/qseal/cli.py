@@ -162,13 +162,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _simulate_config(args: argparse.Namespace) -> TrialConfig:
     kind = ReturnKind(args.kind)
-    method = VerifyMethod(args.method) if kind is ReturnKind.QUANTUM else None
+    method = args.method
+    if method is None and kind is ReturnKind.QUANTUM:
+        method = VerifyMethod.PROJECTIVE.value
     return TrialConfig(
         mode=_mode(args),
         bit_len=args.bits,
         strategy=CheatStrategy(args.strategy),
         return_kind=kind,
-        verify_method=method,
+        verify_method=None if method is None else VerifyMethod(method),
         trials=args.trials,
         seed=args.seed,
     )
@@ -176,12 +178,14 @@ def _simulate_config(args: argparse.Namespace) -> TrialConfig:
 
 # simulate's protocol flags default to None, so that --mixture, which runs no
 # protocol, can tell a given flag from an absent one; absent flags take these.
+# An absent --method stays None: quantum runs verify projectively, and a
+# classical run, whose check is fixed, takes no method.
 _SIMULATE_DEFAULTS = {
     "mode": "binary",
     "k": None,
     "strategy": CheatStrategy.HONEST.value,
     "kind": ReturnKind.QUANTUM.value,
-    "method": VerifyMethod.PROJECTIVE.value,
+    "method": None,
 }
 
 
@@ -216,14 +220,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise CLIError("--workers must be >= 1")
     points = fig1_curve(
         k_max=args.k_max,
         trials_per_point=args.trials,
         bit_len=args.bits,
         seed=args.seed,
-        workers=args.workers,
     )
     text = curve_csv(points)
     if args.out is None:
@@ -300,10 +301,6 @@ def _curve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=20_000, help="per point")
     p.add_argument("--bits", type=int, default=DEFAULT_BIT_LEN)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="threads over whole k points: same output, no speedup under the GIL",
-    )
     p.add_argument("--out", help="CSV path; stdout when omitted")
 
 

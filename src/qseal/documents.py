@@ -10,7 +10,8 @@ the in-memory value exactly.
 
 A binary package document embeds the whole committed function instance
 (salt and shift) because the reader must be able to evaluate it; see the
-function-family module for why evaluation is oracle-style here.
+function-family module for why evaluation is oracle-style here.  Its
+"image_bits" is always 256: images are whole SHA-256 digests.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .seal import (
     SealPackage,
 )
 from .symcrypto import Ciphertext
-from .tcf import TcfOracle, TcfParams
+from .tcf import IMAGE_BITS, TcfOracle, TcfParams
 
 FORMAT_VERSION = 1
 
@@ -241,7 +242,7 @@ def package_to_document(package: SealPackage) -> str:
         tcf = package.tcf
         payload["tcf"] = {
             "bit_len": tcf.params.bit_len,
-            "image_bits": tcf.params.image_bits,
+            "image_bits": IMAGE_BITS,
             "salt": tcf.salt.hex(),
             "shift": tcf.shift.hex(),
         }
@@ -262,9 +263,9 @@ def package_from_payload(payload: dict[str, Any]) -> SealPackage:
     ciphertexts = None
     if isinstance(mode, BinaryTcf):
         entry = _require(payload, "tcf", dict)
-        params = TcfParams(
-            _require(entry, "bit_len", int), _require(entry, "image_bits", int)
-        )
+        params = TcfParams(_require(entry, "bit_len", int))
+        if _require(entry, "image_bits", int) != IMAGE_BITS:
+            raise DocumentError(f"field 'image_bits' must be {IMAGE_BITS}")
         shift = _bitstring_from_hex(
             params.bit_len, _require(entry, "shift", str), "shift"
         )

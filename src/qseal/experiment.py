@@ -58,13 +58,14 @@ NARY_SECRET_BYTES = 16
 CSV_HEADER = "k,p_theory,p_hat,ci_low,ci_high,trials"
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise InvalidInputError("successes must lie in [0, trials]")
     p_hat = successes / trials
+    z = Z95
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = (
@@ -106,8 +107,8 @@ class TrialConfig:
         if self.return_kind is ReturnKind.CLASSICAL:
             if self.verify_method is not None:
                 raise InvalidInputError(
-                    "classical challenges have a fixed check; leave "
-                    "verify_method unset"
+                    "classical challenges have a fixed check and take no "
+                    "verify method"
                 )
             if branch_count(self.mode) != 2:
                 raise InvalidInputError(
@@ -254,6 +255,8 @@ def fig1_curve(
     that point: n-ary seal, quantum return, per-branch Helstrom verification,
     with p_theory = theory_pcheck(k).  workers threads whole k points (at most
     k_max - 1 threads); no count depends on it, and under the GIL no speedup.
+    No library or CLI path passes it; it stays only while the benchmark
+    does, and goes with the pool once that stops (ROADMAP item 1).
     """
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")

@@ -79,13 +79,13 @@ def branch_count(mode: SealMode) -> int:
 
 
 def check_width(mode: SealMode, bit_len: int) -> None:
-    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``
-    and ``bit_len`` is at most MAX_BIT_LEN."""
-    if bit_len > MAX_BIT_LEN:
-        raise InvalidInputError(f"bit_len {bit_len} exceeds the maximum {MAX_BIT_LEN}")
+    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``:
+    binary widths are those TcfParams takes, n-ary widths at most MAX_BIT_LEN."""
     if isinstance(mode, BinaryTcf):
         TcfParams(bit_len)
         return
+    if bit_len > MAX_BIT_LEN:
+        raise InvalidInputError(f"bit_len {bit_len} exceeds the maximum {MAX_BIT_LEN}")
     if bit_len < (4 * mode.k - 1).bit_length():
         # That is 2^bit_len < 4k, negative widths included.  The 4k floor
         # keeps rejection sampling of distinct branches fast and collisions rare.
@@ -143,9 +143,9 @@ class SealPackage:
     register has the function's width (InvalidInputError otherwise) and its
     branches x1, x2 satisfy x1 ^ x2 == shift (ProtocolCorruptionError
     otherwise).  For this family that is eval(x1) == eval(x2) up to hash
-    collisions, which the shift test never admits, even for short images;
-    the check computes no hash.  An n-ary package's branches must each match
-    exactly one ciphertext's key tag.
+    collisions, which the shift test never admits; the check computes no
+    hash.  An n-ary package's branches must each match exactly one
+    ciphertext's key tag.
     """
 
     mode: SealMode

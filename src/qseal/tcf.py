@@ -1,9 +1,10 @@
 """Exactly 2-to-1 trapdoor claw-free function family.
 
 The construction is a salted hash of a canonical representative: an instance
-hides a nonzero shift ``s``, and eval(x) hashes min(x, x xor s), so x and
-x xor s collide and nothing else does (up to hash collisions, which 256-bit
-images make negligible at the supported widths).
+hides a nonzero shift ``s``, and eval(x) is the whole SHA-256 digest of
+min(x, x xor s), so x and x xor s collide and nothing else does (up to
+SHA-256 collisions, which inputs at most half the 256-bit image width keep
+out of reach).
 
 Canonicalization needs the shift, so honest evaluation is modeled as oracle
 access: parties other than the key holder evaluate through a TcfOracle
@@ -38,24 +39,14 @@ _EVAL_PREFIX = b"tcf/eval"
 
 @dataclass(frozen=True, slots=True)
 class TcfParams:
-    """Instance sizing.  image_bits defaults to the full hash width."""
+    """Instance sizing: the input width, at most half the image width."""
 
     bit_len: int
-    image_bits: int = IMAGE_BITS
 
     def __post_init__(self) -> None:
-        if self.bit_len < 2:
-            raise InvalidInputError(f"bit_len must be >= 2, got {self.bit_len}")
-        if self.image_bits % 8 != 0 or not 0 < self.image_bits <= IMAGE_BITS:
+        if not 2 <= self.bit_len <= IMAGE_BITS // 2:
             raise InvalidInputError(
-                f"image_bits must be a multiple of 8 in (0, {IMAGE_BITS}], "
-                f"got {self.image_bits}"
-            )
-        if self.image_bits < 2 * self.bit_len:
-            # Collision headroom: images at least twice the input width.
-            raise InvalidInputError(
-                f"image_bits {self.image_bits} too small for bit_len "
-                f"{self.bit_len}; need image_bits >= 2*bit_len"
+                f"bit_len must be in [2, {IMAGE_BITS // 2}], got {self.bit_len}"
             )
 
 
@@ -75,8 +66,7 @@ def _image(params: TcfParams, salt: bytes, shift: int, x: BitString) -> bytes:
         )
     canonical = min(x.value, x.value ^ shift)
     material = BitString(params.bit_len, canonical).encode()
-    digest = hashlib.sha256(_EVAL_PREFIX + salt + material).digest()
-    return digest[: params.image_bits // 8]
+    return hashlib.sha256(_EVAL_PREFIX + salt + material).digest()
 
 
 @dataclass(frozen=True, slots=True)

@@ -182,9 +182,7 @@ def test_08_images_are_exactly_two_to_one():
     ok = True
     detail = []
     for bit_len in (4, 8, 12):
-        pair = keygen(TcfParams(bit_len, image_bits=2 * ((bit_len + 7) // 8) * 8
-                                if bit_len > 4 else 16),
-                      random.Random(bit_len))
+        pair = keygen(TcfParams(bit_len), random.Random(bit_len))
         buckets: dict[bytes, list[int]] = {}
         for value in range(2 ** bit_len):
             buckets.setdefault(pair.eval(BitString(bit_len, value)), []).append(value)

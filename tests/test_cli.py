@@ -281,6 +281,26 @@ class TestSealOpen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "width" in err
 
+    @pytest.mark.parametrize("command", ["open", "respond"])
+    @pytest.mark.parametrize("image_bits", [64, 128])
+    def test_package_with_short_images_is_integrity_error(
+        self, binary_files, tmp_path, capsys, command, image_bits
+    ):
+        # Images are whole SHA-256 digests; a shorter one is not the secret.
+        pkg, _ = binary_files
+        doc = json.loads(pkg.read_text())
+        assert doc["payload"]["tcf"]["image_bits"] == 256
+        doc["payload"]["tcf"]["image_bits"] = image_bits
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["--package", str(bad)]
+        if command == "respond":
+            argv += ["--kind", "quantum", "--out", str(tmp_path / "r.json")]
+        assert run(command, *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "image_bits" in captured.err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize(
         "raw",
         [b"\xff\xfe\x00garbage", b"1" * 5000, b"[" * 100_000],
@@ -614,7 +634,7 @@ class TestSimulate:
                 [s.value for s in CheatStrategy], [k.value for k in ReturnKind]
             ))
         ),
-        method=st.sampled_from([m.value for m in VerifyMethod]),
+        method=st.none() | st.sampled_from([m.value for m in VerifyMethod]),
         trials=st.one_of(
             st.integers(min_value=1, max_value=3),
             st.integers(min_value=-1, max_value=3),
@@ -633,7 +653,9 @@ class TestSimulate:
         the trials; the widths 1024..1100 have no float 2^bits, and widths
         past MAX_BIT_LEN, 2^31 and up included, are usage errors.  ``mixture``
         None runs the protocol; a count n runs --mixture with the first n
-        protocol flags, and any such flag makes it a usage error.
+        protocol flags, and any such flag makes it a usage error.  An absent
+        --method lets classical runs reach the trials; a given one makes them
+        a usage error.
         """
         mode, k = mode_k
         strategy, kind = strategy_kind
@@ -641,6 +663,8 @@ class TestSimulate:
             ["--mode", mode], ["--k", str(k)], ["--strategy", strategy],
             ["--kind", kind], ["--method", method],
         ]
+        if method is None:
+            del protocol[4]
         if k is None:
             del protocol[1]
         given = protocol if mixture is None else protocol[:mixture]
@@ -658,6 +682,22 @@ class TestSimulate:
         assert code in (0, 2), argv
         if mixture is not None and given:
             assert code == 2, argv
+        if mixture is None and kind == "classical" and method is not None:
+            assert code == 2, argv
+
+    @pytest.mark.parametrize("method", [m.value for m in VerifyMethod])
+    def test_classical_run_refuses_a_method(self, capsys, method):
+        # A classical return has one fixed check; --method must not be dropped.
+        argv = [
+            "simulate", "--kind", "classical", "--method", method,
+            "--trials", "10",
+        ]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "method" in captured.err
+        assert run(*argv[:3], *argv[5:]) == 0
+        assert "statistic=acceptance" in capsys.readouterr().out
 
     def test_honest_helstrom_combination_rejected(self, capsys):
         assert (
@@ -671,19 +711,13 @@ class TestSimulate:
 
 
 class TestCurve:
-    def test_csv_file_and_determinism_across_workers(self, tmp_path, capsys):
+    def test_csv_file(self, tmp_path, capsys):
         a = tmp_path / "curve-a.csv"
-        b = tmp_path / "curve-b.csv"
         run(
             "curve", "--k-max", "4", "--trials", "300", "--seed", "6",
-            "--workers", "1", "--out", str(a),
+            "--out", str(a),
         )
-        run(
-            "curve", "--k-max", "4", "--trials", "300", "--seed", "6",
-            "--workers", "3", "--out", str(b),
-        )
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+        assert capsys.readouterr().out == ""
         lines = a.read_text().strip().splitlines()
         assert lines[0] == "k,p_theory,p_hat,ci_low,ci_high,trials"
         assert [row.split(",")[0] for row in lines[1:]] == ["2", "3", "4"]
@@ -721,24 +755,19 @@ class TestCurve:
             st.sampled_from([2**63 - 1, -(2**63)]),
             st.sampled_from([2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
         ),
-        workers=st.one_of(
-            st.sampled_from([1, 2, 3, 10**6]),
-            st.sampled_from([-1, 0, 1, 2, 3, 10**6]),
-        ),
         write=st.booleans(),
     )
     @settings(max_examples=200, derandomize=True, deadline=None)
-    def test_no_traceback(self, k_max, bits, trials, seed, workers, write):
+    def test_no_traceback(self, k_max, bits, trials, seed, write):
         """Every curve request either runs (0) or is a usage error (2).
 
         The draws lean towards valid requests, so that many examples reach
-        the sweep.  At most three trials per point keep each example short;
-        with --workers 10**6 the sweep still starts at most k_max - 1 threads.
+        the sweep.  At most three trials per point keep each example short.
         Widths past MAX_BIT_LEN are usage errors.
         """
         argv = [
             "curve", "--k-max", str(k_max), "--bits", str(bits),
-            "--trials", str(trials), f"--seed={seed}", "--workers", str(workers),
+            "--trials", str(trials), f"--seed={seed}",
         ]
         with tempfile.TemporaryDirectory() as out:
             if write:
@@ -766,42 +795,46 @@ class TestSeedRange:
         capsys.readouterr()
 
 
-# The four commands that draw random branches of --bits bits.
+# The commands that draw random branches of --bits bits, each with the widest
+# --bits it takes: a binary branch is at most half the 256-bit claw image.
 WIDE_COMMANDS = {
-    "seal": ["seal", "--mode", "nary", "--k", "2", "--secret", "ab"],
-    "simulate": ["simulate", "--mode", "nary", "--k", "2", "--trials", "2"],
-    "mixture": ["simulate", "--mixture", "--trials", "2"],
-    "curve": ["curve", "--k-max", "2", "--trials", "2"],
+    "seal": (["seal", "--mode", "nary", "--k", "2", "--secret", "ab"], MAX_BIT_LEN),
+    "seal-binary": (["seal", "--mode", "binary"], 128),
+    "simulate": (
+        ["simulate", "--mode", "nary", "--k", "2", "--trials", "2"], MAX_BIT_LEN
+    ),
+    "simulate-binary": (["simulate", "--mode", "binary", "--trials", "2"], 128),
+    "mixture": (["simulate", "--mixture", "--trials", "2"], MAX_BIT_LEN),
+    "curve": (["curve", "--k-max", "2", "--trials", "2"], MAX_BIT_LEN),
 }
 
 
 @pytest.mark.parametrize("command", sorted(WIDE_COMMANDS))
-@pytest.mark.parametrize("bits, code", [
-    (MAX_BIT_LEN, 0), (MAX_BIT_LEN + 1, 2), (2**31, 2), (2**63, 2),
-])
-def test_width_cap(tmp_path, capsys, command, bits, code):
-    """--bits past MAX_BIT_LEN exits 2 before any draw; Random.getrandbits
-    would raise OverflowError from 2^31 on."""
-    argv = [*WIDE_COMMANDS[command], "--bits", str(bits)]
-    if command == "seal":
+@pytest.mark.parametrize(
+    "bits", [128, 129, MAX_BIT_LEN, MAX_BIT_LEN + 1, 2**31, 2**63]
+)
+def test_width_cap(tmp_path, capsys, command, bits):
+    """--bits past the command's cap exits 2 before any draw, naming the cap;
+    Random.getrandbits would raise OverflowError from 2^31 on."""
+    argv, cap = WIDE_COMMANDS[command]
+    argv = [*argv, "--bits", str(bits)]
+    if command.startswith("seal"):
         argv += [
             "--out-package", str(tmp_path / "p.json"),
             "--out-secret", str(tmp_path / "s.json"),
         ]
+    code = 0 if bits <= cap else 2
     assert run(*argv) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert err.startswith("error: ") and str(MAX_BIT_LEN) in err
+        assert err.startswith("error: ") and str(cap) in err
+        assert "image_bits" not in err
 
 
 @pytest.mark.parametrize("command", sorted(MONTE_CARLO_COMMANDS))
 def test_zero_workers_is_usage_error(capsys, command):
-    """curve rejects --workers 0; simulate takes no --workers at all."""
-    if command == "curve":
-        assert run(*MONTE_CARLO_COMMANDS[command], "--workers", "0") == 2
-        assert "--workers" in capsys.readouterr().err
-        return
-    for workers in ("0", "1"):
+    """No Monte Carlo command takes --workers: every trial runs serially."""
+    for workers in ("0", "1", "2"):
         assert run(*MONTE_CARLO_COMMANDS[command], "--workers", workers) == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: --workers {workers}" in err
@@ -823,7 +856,7 @@ class TestParser:
     def test_open_adds_only_its_own_options(self, binary_files, monkeypatch, capsys):
         """One `open` adds one -h per parser (the top level and six
         subcommands) and open's two options: 9 add_argument calls, where
-        building every subcommand's options makes 42."""
+        building every subcommand's options makes 41."""
         pkg, _ = binary_files
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
