@@ -151,10 +151,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.return_path, documents.KIND_RETURN, documents.return_from_payload
     )
     if isinstance(message, ClassicalReturn):
+        if args.method is not None:
+            raise CLIError(
+                "classical returns have a fixed check; --method is not allowed"
+            )
         accepted = alice_verify_classical(record, message.mask)
     else:
+        method = args.method or VerifyMethod.PROJECTIVE.value
         accepted = alice_verify_quantum(
-            record, message.state, VerifyMethod(args.method), Random(args.seed)
+            record, message.state, VerifyMethod(method), Random(args.seed)
         )
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
@@ -272,7 +277,6 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--method",
         choices=[m.value for m in VerifyMethod],
-        default=VerifyMethod.PROJECTIVE.value,
         help="quantum returns only; classical returns have a fixed check",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -318,15 +322,19 @@ COMMANDS = {
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: every subcommand with its help line, but
-    options only on the subcommands whose name is a token of ``argv``.
+    """The parser for ``argv``, which parses ``argv`` with the same result,
+    output and exit code as the parser with every subcommand's options.
 
-    argparse dispatches only to a subcommand named by a whole argv token, so
-    parsing ``argv`` gives the same result, output and exit code as the full
-    parser, which ``build_parser(list(COMMANDS))`` builds.  The saving is
-    per call and nothing is cached: a one-shot CLI process builds its parser
-    once and pays for every option it adds.  All formatters of one build
-    share one terminal-width read, at the width argparse would pick.
+    When ``argv[0]`` names a subcommand, only that subcommand is built: the
+    top level hands every later token to it, so the top level can print
+    nothing but its usage line (with an "unrecognized arguments" error), and
+    an explicit metavar keeps that line listing every subcommand.  Any other
+    ``argv`` (no command, ``--help``, an unknown command, a flag first) gets
+    every subcommand with its help line, and options only on those whose
+    name is a token of ``argv``, since argparse dispatches only to a
+    subcommand named by a whole token.  The saving is per call and nothing
+    is cached.  All formatters of one build share one terminal-width read,
+    at the width argparse would pick.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -336,9 +344,17 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         description="Quantum seal protocol simulator: seal, open, and verify.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    # The metavar would also rename the command in "required: command", so it
+    # is set only where the command is present.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if only is None else "{%s}" % ",".join(COMMANDS),
+    )
     invoked = set(argv)
-    for name, (help_text, handler, add_options) in COMMANDS.items():
+    for name in COMMANDS if only is None else [only]:
+        help_text, handler, add_options = COMMANDS[name]
         command = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if name in invoked:
             add_options(command)

@@ -347,6 +347,46 @@ class TestRespondVerify:
         assert run("verify", "--secret", str(sec), "--return", str(ret)) == 0
         assert capsys.readouterr().out.strip() == "accept"
 
+    @pytest.mark.parametrize("method", [m.value for m in VerifyMethod])
+    def test_classical_return_refuses_a_method(
+        self, binary_files, tmp_path, capsys, method
+    ):
+        # A classical return has one fixed check; --method must not be dropped.
+        pkg, sec = binary_files
+        ret = tmp_path / "ret.json"
+        run(
+            "respond", "--package", str(pkg), "--strategy", "honest",
+            "--kind", "classical", "--seed", "1", "--out", str(ret),
+        )
+        capsys.readouterr()
+        argv = ["verify", "--secret", str(sec), "--return", str(ret)]
+        assert run(*argv, "--method", method) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "method" in captured.err
+
+    def test_quantum_return_without_a_method_verifies_projectively(
+        self, binary_files, tmp_path, capsys
+    ):
+        pkg, sec = binary_files
+        ret = tmp_path / "ret.json"
+        run(
+            "respond", "--package", str(pkg), "--strategy", "measure-keep",
+            "--kind", "quantum", "--seed", "0", "--out", str(ret),
+        )
+        capsys.readouterr()
+        argv = ["verify", "--secret", str(sec), "--return", str(ret)]
+        outcomes = []
+        for seed in map(str, range(8)):
+            code = run(*argv, "--seed", seed)
+            printed = capsys.readouterr().out
+            assert (code, printed) == (
+                run(*argv, "--method", "projective", "--seed", seed),
+                capsys.readouterr().out,
+            )
+            outcomes.append(code)
+        assert set(outcomes) == {0, 1}
+
     def test_measure_keep_is_caught_by_helstrom(self, binary_files, tmp_path, capsys):
         pkg, sec = binary_files
         ret = tmp_path / "ret.json"
@@ -853,10 +893,32 @@ class TestParser:
         assert run() == 2
         capsys.readouterr()
 
+    def test_open_builds_two_parsers_and_other_argv_build_seven(
+        self, binary_files, monkeypatch, capsys
+    ):
+        """A command named first builds the top level and itself; any other
+        argv builds the top level and all six subcommands."""
+        pkg, _ = binary_files
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run("open", "--package", str(pkg)) == 0
+        assert len(built) == 2, built
+        for argv in (["--help"], [], ["frobnicate"], ["--bogus", "open", "x"]):
+            built.clear()
+            run(*argv)
+            assert len(built) == 1 + len(COMMANDS) == 7, (argv, built)
+        capsys.readouterr()
+
     def test_open_adds_only_its_own_options(self, binary_files, monkeypatch, capsys):
-        """One `open` adds one -h per parser (the top level and six
-        subcommands) and open's two options: 9 add_argument calls, where
-        building every subcommand's options makes 41."""
+        """One `open` adds one -h per parser (the top level and open) and
+        open's two options: 4 add_argument calls, where building every
+        subcommand's options makes 41."""
         pkg, _ = binary_files
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
@@ -868,7 +930,7 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
         assert run("open", "--package", str(pkg)) == 0
         capsys.readouterr()
-        assert len(calls) == 9, calls
+        assert len(calls) == 4, calls
 
     @given(
         argv=st.lists(
@@ -894,6 +956,7 @@ class TestParser:
     def test_parser_for_argv_parses_like_the_full_parser(self, argv):
         """build_parser(argv) gives the namespace, or the exit code, stdout
         and stderr, that the parser with every command's options gives."""
+        reference = _full_parser()
 
         def parse(parser):
             out, err = io.StringIO(), io.StringIO()
@@ -904,4 +967,24 @@ class TestParser:
                     result = exc.code
             return result, out.getvalue(), err.getvalue()
 
-        assert parse(build_parser(argv)) == parse(build_parser(list(COMMANDS)))
+        assert parse(build_parser(argv)) == parse(reference)
+
+
+def _full_parser() -> argparse.ArgumentParser:
+    """build_parser's top level with all six subcommands, each with its
+    options and handler, whatever argv would name."""
+    top = build_parser([])
+    parser = argparse.ArgumentParser(
+        prog=top.prog,
+        description=top.description,
+        formatter_class=top.formatter_class,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_options) in COMMANDS.items():
+        command = sub.add_parser(
+            name, help=help_text, formatter_class=top.formatter_class
+        )
+        add_options(command)
+        command.set_defaults(handler=handler)
+    assert list(sub.choices) == list(COMMANDS) and len(sub.choices) == 6
+    return parser
