@@ -8,7 +8,9 @@ records draw nothing and are never read by a verdict, so no trial makes
 them.  Trials get their own random.Random seeded by hashing the master seed
 with the trial index, so results are reproducible bit-for-bit and
 independent of how trials are scheduled: fig1_curve may run its k points on
-threads without changing any count.
+threads without changing any count.  A run hashes the (seed, label) prefix
+once and extends a copy of it by each trial's index, which gives each trial
+exactly the stream _spawned_rng(seed, label, index) derives on its own.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -161,21 +163,41 @@ def _report(
     return EstimateReport(statistic, k, successes / trials, low, high, trials, p_theory)
 
 
-def _spawned_rng(master_seed: int, *path: int | str) -> Random:
-    """Independent stream derived from a signed 64-bit master seed and a label path."""
+def _stream_hash(master_seed: int, *path: int | str) -> hashlib._Hash:
+    """SHA-256 state over a signed 64-bit master seed and a label path.
+
+    _branch_rng turns it, extended by more path parts, into a stream; a run
+    hashes its (seed, label) prefix once and branches it per trial.
+    """
     try:
         h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
     except struct.error as exc:
         raise InvalidInputError(
             f"seed must be in [-2^63, 2^63), got {master_seed}"
         ) from exc
+    _absorb(h, path)
+    return h
+
+
+def _absorb(h: hashlib._Hash, path: tuple[int | str, ...]) -> None:
     for part in path:
         if isinstance(part, int):
             h.update(b"i" + struct.pack(">q", part))
         else:
             data = part.encode()
             h.update(b"s" + struct.pack(">I", len(data)) + data)
+
+
+def _branch_rng(prefix: hashlib._Hash, *path: int | str) -> Random:
+    """The stream of ``prefix`` extended by ``path``; ``prefix`` is not changed."""
+    h = prefix.copy()
+    _absorb(h, path)
     return Random(int.from_bytes(h.digest()[:8], "big"))
+
+
+def _spawned_rng(master_seed: int, *path: int | str) -> Random:
+    """Independent stream derived from a signed 64-bit master seed and a label path."""
+    return _branch_rng(_stream_hash(master_seed), *path)
 
 
 def theory_rate(config: TrialConfig) -> float:
@@ -200,15 +222,14 @@ def theory_rate(config: TrialConfig) -> float:
     return 1.0 - math.ldexp(1.0, -config.bit_len)
 
 
-def _run_one(config: TrialConfig, index: int, params: TcfParams | None) -> bool:
-    """One seal/respond/verify round; True when the tracked event occurred.
+def _run_one(config: TrialConfig, rng: Random, params: TcfParams | None) -> bool:
+    """One seal/respond/verify round on the trial's stream; True = accepted.
 
     The round makes the RNG calls of alice_seal_*, bob_respond and
     alice_verify_* in their order, so its verdict is theirs, but builds only
     the register and its branches.  ``params`` is TcfParams(config.bit_len)
     in binary mode, built once per run, and None in n-ary mode.
     """
-    rng = _spawned_rng(config.seed, "trial", index)
     if params is not None:
         _, *branches = draw_claw(params, rng)
     else:
@@ -219,27 +240,29 @@ def _run_one(config: TrialConfig, index: int, params: TcfParams | None) -> bool:
     answer = register_response(register, config.strategy, config.return_kind, rng)
     if config.return_kind is ReturnKind.CLASSICAL:
         x1, x2 = branches
-        accepted = classical_verdict(x1, x2, answer)
-    else:
-        accepted = quantum_verdict(register, answer, config.verify_method, rng)
-    if config.statistic == "detection":
-        return not accepted
-    return accepted
+        return classical_verdict(x1, x2, answer)
+    return quantum_verdict(register, answer, config.verify_method, rng)
 
 
 def run_trials(config: TrialConfig) -> EstimateReport:
     """Estimate the configured statistic over config.trials rounds, serially.
 
-    Each round's verdict is that of sealing, responding and verifying
-    through the public roles on the trial's stream; the round draws what
-    they draw but builds only the register and what the verdict reads.
+    Round i runs on the stream _spawned_rng(config.seed, "trial", i), taken
+    from one hash of the (seed, "trial") prefix per run.  Each round's
+    verdict is that of sealing, responding and verifying through the public
+    roles on that stream; the round draws what they draw but builds only
+    the register and what the verdict reads.
     """
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
-    successes = sum(
-        1 for index in range(config.trials) if _run_one(config, index, params)
+    prefix = _stream_hash(config.seed, "trial")
+    accepted = sum(
+        _run_one(config, _branch_rng(prefix, index), params)
+        for index in range(config.trials)
     )
+    statistic = config.statistic
+    successes = config.trials - accepted if statistic == "detection" else accepted
     k = branch_count(config.mode)
-    return _report(config.statistic, k, successes, config.trials, theory_rate(config))
+    return _report(statistic, k, successes, config.trials, theory_rate(config))
 
 
 def fig1_curve(
@@ -309,16 +332,21 @@ def mixture_diagnostic(
             f"bit_len must be in [3, {MAX_BIT_LEN}], got {bit_len}"
         )
     amp = 1.0 / math.sqrt(2.0)
+    prefix = _stream_hash(seed, "mixture")
     successes = 0
     for index in range(trials):
-        rng = _spawned_rng(seed, "mixture", index)
+        rng = _branch_rng(prefix, index)
         x1 = BitString.random(bit_len, rng)
         x2 = x1
         while x2 == x1:
             x2 = BitString.random(bit_len, rng)
         original = uniform_superposition((x1, x2))
-        # In-span complement of the original: same branches, opposite signs.
-        complement = SparseState(bit_len, {x1: amp, x2: -amp})
+        # In-span complement of the original: same branches, opposite signs,
+        # given in value order so the state need not sort them.
+        if x1.value < x2.value:
+            complement = SparseState(bit_len, {x1: amp, x2: -amp})
+        else:
+            complement = SparseState(bit_len, {x2: -amp, x1: amp})
         honest = rng.random() < 0.5
         if honest:
             truth = original

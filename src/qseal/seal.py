@@ -34,9 +34,9 @@ from .sparsestate import (
     AMP_TOL,
     SparseState,
     hadamard_measure,
-    helstrom_discriminate,
+    helstrom_p_report_h0,
     inner_product,
-    measure_computational,
+    measure_outcome,
     singleton,
     uniform_superposition,
 )
@@ -326,7 +326,7 @@ def bob_open(package: SealPackage, rng: Random) -> bytes:
     same secret.  The register in the package value is untouched; opening an
     already collapsed register is deterministic.
     """
-    outcome, _ = measure_computational(package.register, rng)
+    outcome = measure_outcome(package.register, rng)
     if isinstance(package.mode, BinaryTcf):
         assert package.tcf is not None
         return package.tcf.eval(outcome)
@@ -374,9 +374,9 @@ def register_response(
             return register
         return hadamard_measure(register, rng)
     # Every cheating strategy reads the register first.
-    _, collapsed = measure_computational(register, rng)
+    outcome = measure_outcome(register, rng)
     if strategy is CheatStrategy.MEASURE_KEEP:
-        return collapsed
+        return singleton(outcome)
     if strategy is CheatStrategy.MEASURE_RANDOM_STATE:
         return singleton(BitString.random(register.bit_len, rng))
     return BitString.random(register.bit_len, rng)
@@ -414,13 +414,25 @@ def quantum_verdict(
     method: VerifyMethod,
     rng: Random,
 ) -> bool:
-    """Core of alice_verify_quantum: reads only the original state."""
+    """Core of alice_verify_quantum: reads only the original state.
+
+    HELSTROM_PER_BRANCH draws as helstrom_discriminate(returned, original,
+    returned, rng) == 0 would, with its checks.  isclose is symmetric, so
+    one test stands for both of theirs; inner_product is symmetric bit for
+    bit, so one overlap serves as <original|returned> and <returned|original>.
+    """
     if method is VerifyMethod.PROJECTIVE:
         overlap = inner_product(original, returned)
         return rng.random() < overlap * overlap
+    if original.bit_len != returned.bit_len:
+        raise InvalidInputError("all three states must share one width")
     if returned.isclose(original):
         return True
-    return helstrom_discriminate(returned, original, returned, rng) == 0
+    overlap = inner_product(original, returned)
+    p_accept = helstrom_p_report_h0(
+        overlap, overlap, inner_product(returned, returned)
+    )
+    return rng.random() < p_accept
 
 
 def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -30,7 +31,7 @@ AMP_TOL = 1e-12
 MAX_SYNDROME_RANK = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseState:
     """Normalized sparse state.  Terms are read-only, sorted by basis string."""
 
@@ -109,7 +110,11 @@ def uniform_superposition(strings: Iterable[BitString]) -> SparseState:
     keys = list(strings)
     if not keys:
         raise InvalidInputError("need at least one basis string")
-    terms = dict.fromkeys(keys, 1.0 / math.sqrt(len(keys)))
+    # Built in value order, SparseState's canonical one, so the state keeps
+    # the dict as it is instead of sorting and hashing every key again.
+    terms = dict.fromkeys(
+        sorted(keys, key=attrgetter("value")), 1.0 / math.sqrt(len(keys))
+    )
     if len(terms) != len(keys):
         raise InvalidInputError("basis strings must be distinct")
     return SparseState(keys[0].bit_len, terms)
@@ -144,6 +149,13 @@ def measure_computational(
     Returns the sampled string together with the post-measurement state,
     which is the matching basis state.  The input is not mutated.
     """
+    outcome = measure_outcome(state, rng)
+    return outcome, singleton(outcome)
+
+
+def measure_outcome(state: SparseState, rng: Random) -> BitString:
+    """The string measure_computational samples, from the same single draw,
+    without building the post-measurement state."""
     r = rng.random()
     acc = 0.0
     outcome = None
@@ -155,7 +167,7 @@ def measure_computational(
     if outcome is None:
         # r landed in the normalization slack; take the last term.
         outcome = next(reversed(state.terms))
-    return outcome, singleton(outcome)
+    return outcome
 
 
 def hadamard_measure(state: SparseState, rng: Random) -> BitString:
@@ -222,17 +234,25 @@ def helstrom_discriminate(
         raise InvalidInputError("all three states must share one width")
     if h0.isclose(h1):
         raise InvalidInputError("hypotheses are identical; nothing to discriminate")
+    p_report_h0 = helstrom_p_report_h0(
+        inner_product(h0, h1), inner_product(truth, h0), inner_product(truth, h1)
+    )
+    return 0 if rng.random() < p_report_h0 else 1
 
-    overlap = max(-1.0, min(1.0, inner_product(h0, h1)))
+
+def helstrom_p_report_h0(h0_h1: float, truth_h0: float, truth_h1: float) -> float:
+    """Probability that helstrom_discriminate reports h0, from the overlaps
+    <h0|h1>, <truth|h0> and <truth|h1> of normalized states."""
+    overlap = max(-1.0, min(1.0, h0_h1))
     sin_sq = 1.0 - overlap * overlap
     if sin_sq <= 1e-18:
         # Same ray up to sign: zero trace distance, the coin is optimal.
-        return 0 if rng.random() < 0.5 else 1
+        return 0.5
     sin = math.sqrt(sin_sq)
 
     # Orthonormal frame for the span: e1 = h0, e2 = (h1 - overlap*h0)/sin.
-    t_e1 = inner_product(truth, h0)
-    t_e2 = (inner_product(truth, h1) - overlap * t_e1) / sin
+    t_e1 = truth_h0
+    t_e2 = (truth_h1 - overlap * t_e1) / sin
 
     # Positive eigenvector of (|h0><h0| - |h1><h1|)/2 in the (e1, e2) frame.
     scale = math.sqrt(2.0 * (1.0 + sin))
@@ -241,5 +261,4 @@ def helstrom_discriminate(
 
     along = t_e1 * v1 + t_e2 * v2
     outside = max(0.0, 1.0 - t_e1 * t_e1 - t_e2 * t_e2)
-    p_report_h0 = min(1.0, along * along + 0.5 * outside)
-    return 0 if rng.random() < p_report_h0 else 1
+    return min(1.0, along * along + 0.5 * outside)

@@ -9,13 +9,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qseal import experiment
+from qseal import experiment, seal, sparsestate
 from qseal.errors import InvalidInputError
 from qseal.experiment import (
     CSV_HEADER,
@@ -46,6 +47,7 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_respond,
 )
+from qseal.sparsestate import SparseState
 from qseal.symcrypto import Ciphertext
 from qseal.tcf import TcfOracle, TcfParams
 
@@ -414,30 +416,25 @@ class TestTrialKernel:
         }
 
     @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=config_id)
-    def test_verdicts_and_stream_match_the_public_roles(self, monkeypatch, cfg):
-        made = []
-
-        def recording_rng(*args):
-            made.append(_spawned_rng(*args))
-            return made[-1]
-
-        monkeypatch.setattr(experiment, "_spawned_rng", recording_rng)
+    def test_verdicts_and_stream_match_the_public_roles(self, cfg):
         params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
         for index in range(cfg.trials):
-            verdict = _run_one(cfg, index, params)
+            rng = _spawned_rng(cfg.seed, "trial", index)
+            accepted = _run_one(cfg, rng, params)
             expected, public_rng = public_round(cfg, index)
-            assert verdict == expected, index
+            event = (not accepted) if cfg.statistic == "detection" else accepted
+            assert event == expected, index
             # Both left the trial's stream at the same place.
-            assert made[-1].getrandbits(64) == public_rng.getrandbits(64), index
+            assert rng.getrandbits(64) == public_rng.getrandbits(64), index
 
     @pytest.mark.parametrize(
         "mode",
         [BinaryTcf(), NarySymmetric(2), NarySymmetric(8), NarySymmetric(32)],
         ids=["binary", "k2", "k8", "k32"],
     )
-    def test_a_trial_hashes_once_and_builds_no_seal_objects(self, monkeypatch, mode):
-        """The one SHA-256 call is the trial's stream derivation; no
-        ciphertext, claw image, package, record or oracle is built."""
+    def test_a_run_hashes_once_and_builds_no_seal_objects(self, monkeypatch, mode):
+        """The one SHA-256 call per run is its stream prefix; trials copy it.
+        No ciphertext, claw image, package, record or oracle is built."""
         hashes = 0
         real_sha256 = hashlib.sha256
 
@@ -453,12 +450,117 @@ class TestTrialKernel:
         for cfg in valid_configs([mode], (16,), trials=20):
             hashes = 0
             run_trials(cfg)
-            assert hashes == cfg.trials, config_id(cfg)
+            assert hashes == 1, config_id(cfg)
+        hashes = 0
+        mixture_diagnostic(16, trials=20, seed=3)
+        assert hashes == 1
         for cls in (SealPackage, AliceSecret, TcfOracle):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         monkeypatch.setattr(Ciphertext, "__init__", refuse)
         for cfg in valid_configs([mode], (16,), trials=20):
             run_trials(cfg)
+
+    @pytest.mark.parametrize(
+        "strategy, kind, method, states",
+        [
+            ("honest", "quantum", "projective", 1),
+            ("honest", "classical", None, 1),
+            ("measure-keep", "quantum", "projective", 2),
+            ("measure-keep", "quantum", "helstrom", 2),
+            ("measure-random-state", "quantum", "projective", 2),
+            ("measure-random-state", "quantum", "helstrom", 2),
+            ("measure-guess-d", "classical", None, 1),
+        ],
+    )
+    def test_a_binary_trial_builds_only_the_states_it_returns(
+        self, monkeypatch, strategy, kind, method, states
+    ):
+        """The register, plus the returned basis state where there is one;
+        a collapse that no return carries is never built."""
+        built = 0
+        real_check = SparseState.__post_init__
+
+        def counting_check(self):
+            nonlocal built
+            built += 1
+            real_check(self)
+
+        monkeypatch.setattr(SparseState, "__post_init__", counting_check)
+        cfg = config(
+            strategy=CheatStrategy(strategy),
+            return_kind=ReturnKind(kind),
+            verify_method=None if method is None else VerifyMethod(method),
+            trials=50,
+        )
+        run_trials(cfg)
+        assert built == states * cfg.trials
+
+    def test_a_helstrom_verdict_tests_closeness_once_and_takes_two_overlaps(
+        self, monkeypatch
+    ):
+        calls = {"isclose": 0, "inner_product": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            SparseState, "isclose", counting("isclose", SparseState.isclose)
+        )
+        counted_inner = counting("inner_product", sparsestate.inner_product)
+        monkeypatch.setattr(sparsestate, "inner_product", counted_inner)
+        monkeypatch.setattr(seal, "inner_product", counted_inner)
+        for mode in (BinaryTcf(), NarySymmetric(8)):
+            # A kept branch never equals the register: every verdict is a test.
+            cfg = config(mode=mode, trials=50)
+            calls.update(isclose=0, inner_product=0)
+            run_trials(cfg)
+            assert calls == {"isclose": cfg.trials, "inner_product": 2 * cfg.trials}
+
+
+class TestStreamPrefix:
+    """A run hashes its (seed, label) prefix once and derives each trial's
+    stream from a copy: exactly the stream _spawned_rng gives that trial."""
+
+    SEEDS = (0, -1, -(2**63), 2**63 - 1, 0x5EED_1E55_C0FF_EE15 - 2**63)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("label", ["trial", "mixture"])
+    def test_each_trial_gets_its_spawned_stream(self, monkeypatch, seed, label):
+        trials = 1_000
+        expected = [_spawned_rng(seed, label, i).getstate() for i in range(trials)]
+        paths, states = [], []
+        real_branch_rng = experiment._branch_rng
+
+        def recording_branch_rng(prefix, *path):
+            rng = real_branch_rng(prefix, *path)
+            paths.append(path)
+            states.append(rng.getstate())
+            return rng
+
+        monkeypatch.setattr(experiment, "_branch_rng", recording_branch_rng)
+        if label == "trial":
+            run_trials(config(trials=trials, seed=seed))
+        else:
+            mixture_diagnostic(trials=trials, seed=seed)
+        assert paths == [(i,) for i in range(trials)]
+        # Equal generator states: every draw of the trial agrees.
+        assert states == expected
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_an_out_of_range_seed_fails_before_any_trial(self, monkeypatch, seed):
+        def refuse(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "_branch_rng", refuse)
+        message = re.escape(f"seed must be in [-2^63, 2^63), got {seed}")
+        with pytest.raises(InvalidInputError, match=message):
+            run_trials(config(trials=5, seed=seed))
+        with pytest.raises(InvalidInputError, match=message):
+            mixture_diagnostic(trials=5, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,15 @@ from qseal.seal import (
     check_register,
     check_width,
     compatible,
+    quantum_verdict,
 )
-from qseal.sparsestate import SparseState, singleton, uniform_superposition
+from qseal.sparsestate import (
+    SparseState,
+    helstrom_discriminate,
+    inner_product,
+    singleton,
+    uniform_superposition,
+)
 from qseal.symcrypto import enc
 from qseal.tcf import TcfOracle, TcfParams
 
@@ -528,6 +535,100 @@ class TestVerifyQuantum:
                     with pytest.raises(InvalidInputError, match="width"):
                         alice_verify_quantum(record, returned, method, rng)
                     assert rng.getstate() == before, (record.mode, method, returned)
+
+
+# Reference copies of helstrom_discriminate and quantum_verdict as they were
+# before the Helstrom probability was split out and quantum_verdict stopped
+# calling helstrom_discriminate.  The library must match them draw for draw.
+
+
+def reference_helstrom(truth, h0, h1, rng):
+    if not (truth.bit_len == h0.bit_len == h1.bit_len):
+        raise InvalidInputError("all three states must share one width")
+    if h0.isclose(h1):
+        raise InvalidInputError("hypotheses are identical; nothing to discriminate")
+    overlap = max(-1.0, min(1.0, inner_product(h0, h1)))
+    sin_sq = 1.0 - overlap * overlap
+    if sin_sq <= 1e-18:
+        return 0 if rng.random() < 0.5 else 1
+    sin = math.sqrt(sin_sq)
+    t_e1 = inner_product(truth, h0)
+    t_e2 = (inner_product(truth, h1) - overlap * t_e1) / sin
+    scale = math.sqrt(2.0 * (1.0 + sin))
+    v1 = (1.0 + sin) / scale
+    v2 = -overlap / scale
+    along = t_e1 * v1 + t_e2 * v2
+    outside = max(0.0, 1.0 - t_e1 * t_e1 - t_e2 * t_e2)
+    p_report_h0 = min(1.0, along * along + 0.5 * outside)
+    return 0 if rng.random() < p_report_h0 else 1
+
+
+def reference_quantum_verdict(original, returned, method, rng):
+    if method is VerifyMethod.PROJECTIVE:
+        overlap = inner_product(original, returned)
+        return rng.random() < overlap * overlap
+    if returned.isclose(original):
+        return True
+    return reference_helstrom(returned, original, returned, rng) == 0
+
+
+def random_state(rng: Random, bit_len: int) -> SparseState:
+    """Up to five terms on a small pool of strings, so that random states
+    often share support; signs and magnitudes vary."""
+    pool = min(1 << bit_len, 12)
+    values = rng.sample(range(pool), rng.randint(1, min(5, pool)))
+    amps = [rng.choice((-1, 1)) * rng.uniform(0.05, 1.0) for _ in values]
+    norm = math.sqrt(sum(a * a for a in amps))
+    return SparseState(
+        bit_len, {BitString(bit_len, v): a / norm for v, a in zip(values, amps)}
+    )
+
+
+def related_states(rng: Random, base: SparseState) -> list[SparseState]:
+    """States that meet base on the shortcut and degenerate paths."""
+    negated = SparseState(base.bit_len, {k: -a for k, a in base.terms.items()})
+    kept = singleton(rng.choice(base.branches))
+    wider = singleton(BitString(base.bit_len + 1, 0))
+    return [base, negated, kept, wider, random_state(rng, base.bit_len)]
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+class TestVerdictsMatchReference:
+    CASES = 600
+
+    def test_helstrom_discriminate_draws_as_before(self):
+        rng = Random(2024)
+        for case in range(self.CASES):
+            h0 = random_state(rng, rng.choice((3, 8, 16)))
+            for h1 in related_states(rng, h0):
+                for truth in (h0, h1, random_state(rng, h0.bit_len)):
+                    seed = rng.getrandbits(32)
+                    mine, theirs = Random(seed), Random(seed)
+                    got = outcome_of(helstrom_discriminate, truth, h0, h1, mine)
+                    want = outcome_of(reference_helstrom, truth, h0, h1, theirs)
+                    assert got == want, case
+                    assert mine.getstate() == theirs.getstate(), case
+
+    def test_quantum_verdict_draws_as_before(self):
+        rng = Random(2025)
+        for case in range(self.CASES):
+            original = random_state(rng, rng.choice((3, 8, 16)))
+            for returned in related_states(rng, original):
+                for method in VerifyMethod:
+                    seed = rng.getrandbits(32)
+                    mine, theirs = Random(seed), Random(seed)
+                    got = outcome_of(quantum_verdict, original, returned, method, mine)
+                    want = outcome_of(
+                        reference_quantum_verdict, original, returned, method, theirs
+                    )
+                    assert got == want, case
+                    assert mine.getstate() == theirs.getstate(), case
 
 
 # ---------------------------------------------------------------------------

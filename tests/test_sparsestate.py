@@ -13,7 +13,7 @@ from random import Random
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qseal.bits import BitString
 from qseal.errors import CapacityError, InvalidInputError
@@ -274,6 +274,27 @@ def close_state_pairs(draw):
     return state(widths[0]), state(widths[1])
 
 
+def signed(bit_len: int, weights: dict[int, float]) -> SparseState:
+    """The state with amplitudes proportional to ``weights`` (value -> weight)."""
+    norm = math.sqrt(sum(w * w for w in weights.values()))
+    return SparseState(
+        bit_len, {bs(bit_len, v): w / norm for v, w in weights.items()}
+    )
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states of one width with up to 8 terms each, of either sign; at
+    small widths their supports often overlap, at larger ones seldom."""
+    bit_len = draw(st.integers(min_value=1, max_value=6))
+    value = st.integers(min_value=0, max_value=(1 << bit_len) - 1)
+    weight = st.floats(min_value=1e-3, max_value=1.0) | st.floats(
+        min_value=-1.0, max_value=-1e-3
+    )
+    weights = st.dictionaries(value, weight, min_size=1, max_size=8)
+    return signed(bit_len, draw(weights)), signed(bit_len, draw(weights))
+
+
 # ---------------------------------------------------------------------------
 # overlaps and trace distance
 # ---------------------------------------------------------------------------
@@ -329,6 +350,17 @@ class TestTraceDistance:
         d_ba = trace_distance_pure(b, a)
         assert abs(d_ab - d_ba) < 1e-12
         assert -1e-12 <= d_ab <= 1.0 + 1e-12
+
+    @given(state_pairs())
+    @settings(max_examples=300)
+    @example((signed(3, {1: 1, 2: -2}), signed(3, {4: 1, 5: 1})))  # disjoint
+    @example((signed(3, {1: -1, 2: 3}), signed(3, {2: 1, 6: -1})))  # one shared
+    @example((signed(4, {1: 1, 2: -1, 3: 2}), signed(4, {2: -3})))  # 3 terms vs 1
+    def test_inner_product_is_symmetric_bit_for_bit(self, pair):
+        # Both orders add the same nonzero products in value order, so a
+        # caller may take one overlap for <a|b> and <b|a>.
+        a, b = pair
+        assert inner_product(a, b).hex() == inner_product(b, a).hex()
 
 
 # ---------------------------------------------------------------------------
