@@ -49,11 +49,9 @@ from .sparsestate import (
     SparseState,
     hadamard_measure,
     helstrom_discriminate,
-    helstrom_success_probability,
     inner_product,
     measure_computational,
     singleton,
-    trace_distance_pure,
     uniform_superposition,
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
@@ -102,7 +100,6 @@ __all__ = [
     "find_and_dec",
     "hadamard_measure",
     "helstrom_discriminate",
-    "helstrom_success_probability",
     "inner_product",
     "key_tag",
     "keygen",
@@ -112,7 +109,6 @@ __all__ = [
     "sample_claw",
     "singleton",
     "theory_pcheck",
-    "trace_distance_pure",
     "uniform_superposition",
     "wilson_interval",
 ]

@@ -24,10 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
-from .bits import BitString
 from .errors import InvalidInputError
 from .seal import (
-    MAX_BIT_LEN,
     BinaryTcf,
     CheatStrategy,
     NarySymmetric,
@@ -44,12 +42,7 @@ from .seal import (
     quantum_verdict,
     register_response,
 )
-from .sparsestate import (
-    SparseState,
-    helstrom_discriminate,
-    measure_computational,
-    uniform_superposition,
-)
+from .sparsestate import SparseState, helstrom_discriminate, uniform_superposition
 from .tcf import TcfParams
 
 Z95 = 1.959963984540054
@@ -325,21 +318,17 @@ def mixture_diagnostic(
     coin-flip outside the span.  The reported statistic is the equal-prior
     success rate, 3/4 in theory for two branches; it sits below the
     per-branch detection figure because here nobody tells the verifier
-    which branch the cheater kept.
+    which branch the cheater kept.  The pair is drawn as a two-branch n-ary
+    seal draws it, and the cheat collapses it as bob_respond's measure-keep
+    does; widths run from 3 to MAX_BIT_LEN.
     """
-    if not 3 <= bit_len <= MAX_BIT_LEN:
-        raise InvalidInputError(
-            f"bit_len must be in [3, {MAX_BIT_LEN}], got {bit_len}"
-        )
+    check_width(NarySymmetric(2), bit_len)
     amp = 1.0 / math.sqrt(2.0)
     prefix = _stream_hash(seed, "mixture")
     successes = 0
     for index in range(trials):
         rng = _branch_rng(prefix, index)
-        x1 = BitString.random(bit_len, rng)
-        x2 = x1
-        while x2 == x1:
-            x2 = BitString.random(bit_len, rng)
+        x1, x2 = draw_branches(2, bit_len, rng)
         original = uniform_superposition((x1, x2))
         # In-span complement of the original: same branches, opposite signs,
         # given in value order so the state need not sort them.
@@ -351,7 +340,9 @@ def mixture_diagnostic(
         if honest:
             truth = original
         else:
-            _, truth = measure_computational(original, rng)
+            truth = register_response(
+                original, CheatStrategy.MEASURE_KEEP, ReturnKind.QUANTUM, rng
+            )
         said_honest = helstrom_discriminate(truth, original, complement, rng) == 0
         if said_honest == honest:
             successes += 1

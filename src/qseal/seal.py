@@ -395,15 +395,9 @@ def alice_verify_quantum(
 ) -> bool:
     """Test a returned register against the retained original.  True = accept.
 
-    PROJECTIVE measures {|psi><psi|, 1 - |psi><psi|} and accepts on the
-    first outcome, so acceptance probability is the squared overlap.
-
-    HELSTROM_PER_BRANCH runs the optimal two-hypothesis test between the
-    original and the returned state itself, accepting when the original is
-    reported; this models a verifier told what a cheater would have sent.  A
-    returned state equal to the original leaves nothing to test and is
-    accepted outright.  A state of another width raises InvalidInputError
-    before any draw.
+    Accepts with acceptance_probability(record.original_state, returned,
+    method), on one rng.random() draw.  A state of another width raises
+    InvalidInputError before any draw.
     """
     return quantum_verdict(record.original_state, returned, method, rng)
 
@@ -414,25 +408,47 @@ def quantum_verdict(
     method: VerifyMethod,
     rng: Random,
 ) -> bool:
-    """Core of alice_verify_quantum: reads only the original state.
-
-    HELSTROM_PER_BRANCH draws as helstrom_discriminate(returned, original,
-    returned, rng) == 0 would, with its checks.  isclose is symmetric, so
-    one test stands for both of theirs; inner_product is symmetric bit for
-    bit, so one overlap serves as <original|returned> and <returned|original>.
-    """
-    if method is VerifyMethod.PROJECTIVE:
-        overlap = inner_product(original, returned)
-        return rng.random() < overlap * overlap
-    if original.bit_len != returned.bit_len:
-        raise InvalidInputError("all three states must share one width")
-    if returned.isclose(original):
-        return True
-    overlap = inner_product(original, returned)
-    p_accept = helstrom_p_report_h0(
-        overlap, overlap, inner_product(returned, returned)
-    )
+    """Core of alice_verify_quantum: reads only the original state."""
+    # Before the draw, so that a width error leaves rng untouched.
+    p_accept = acceptance_probability(original, returned, method)
     return rng.random() < p_accept
+
+
+def acceptance_probability(
+    original: SparseState, returned: SparseState, method: VerifyMethod
+) -> float:
+    """Probability that Alice accepts ``returned`` against ``original``.
+
+    PROJECTIVE measures {|psi><psi|, 1 - |psi><psi|} and accepts on the
+    first outcome: the squared overlap.
+
+    HELSTROM_PER_BRANCH runs the optimal two-hypothesis test (Helstrom 1976)
+    between the original and the returned state itself, accepting when the
+    original is reported, as helstrom_discriminate(returned, original,
+    returned, rng) == 0 would; this models a verifier told what a cheater
+    would have sent.
+
+    Against one collapsed branch of a k-branch original, PROJECTIVE accepts
+    with 1/k and HELSTROM_PER_BRANCH with 1/2 - 1/2 D, where D = sqrt(1 -
+    1/k) is the trace distance of the two states and 1/2 + 1/2 D the
+    Helstrom success rate.
+
+    A return equal to the original is accepted with probability 1.0 exactly
+    by both methods, and a state of another width raises InvalidInputError.
+    inner_product is symmetric bit for bit, so one overlap serves as
+    <original|returned> and <returned|original>.
+    """
+    if original.bit_len != returned.bit_len:
+        raise InvalidInputError(
+            f"returned width {returned.bit_len} does not match "
+            f"original width {original.bit_len}"
+        )
+    if returned.isclose(original):
+        return 1.0
+    overlap = inner_product(original, returned)
+    if method is VerifyMethod.PROJECTIVE:
+        return overlap * overlap
+    return helstrom_p_report_h0(overlap, overlap, inner_product(returned, returned))
 
 
 def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:

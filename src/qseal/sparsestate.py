@@ -130,17 +130,6 @@ def inner_product(a: SparseState, b: SparseState) -> float:
     return sum(amp * b.terms.get(key, 0.0) for key, amp in a.terms.items())
 
 
-def trace_distance_pure(a: SparseState, b: SparseState) -> float:
-    """Trace distance between two pure states: sqrt(1 - <a|b>^2)."""
-    overlap = inner_product(a, b)
-    return math.sqrt(max(0.0, 1.0 - overlap * overlap))
-
-
-def helstrom_success_probability(a: SparseState, b: SparseState) -> float:
-    """Best achievable probability of telling a from b at equal priors."""
-    return 0.5 + 0.5 * trace_distance_pure(a, b)
-
-
 def measure_computational(
     state: SparseState, rng: Random
 ) -> tuple[BitString, SparseState]:
@@ -224,7 +213,7 @@ def helstrom_discriminate(
     Applies the Helstrom measurement to ``truth`` and returns 0 or 1, the
     index of the hypothesis the measurement reports.  When truth is drawn
     uniformly from {h0, h1} the answer is correct with probability
-    1/2 + 1/2 * trace_distance_pure(h0, h1).
+    1/2 + 1/2 * sqrt(1 - <h0|h1>^2), the best any measurement achieves.
 
     The measurement acts in the two-dimensional span of the hypotheses;
     any component of truth outside that span is resolved by a fair coin,

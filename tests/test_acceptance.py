@@ -9,6 +9,7 @@ with at least 2x headroom on a development-class machine.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import Counter
@@ -31,16 +32,12 @@ from qseal.seal import (
     NarySymmetric,
     ReturnKind,
     VerifyMethod,
+    acceptance_probability,
     alice_seal_binary,
     alice_seal_nary,
     bob_open,
 )
-from qseal.sparsestate import (
-    hadamard_measure,
-    helstrom_success_probability,
-    trace_distance_pure,
-    uniform_superposition,
-)
+from qseal.sparsestate import hadamard_measure, uniform_superposition
 from qseal.tcf import TcfParams, keygen
 
 
@@ -56,18 +53,18 @@ def _binary_config(**kw) -> TrialConfig:
 
 
 def test_01_theory_constants():
+    pair = uniform_superposition([BitString(4, 3), BitString(4, 9)])
+    branch = uniform_superposition([BitString(4, 3)])
     checks = [
         ("pcheck(2)", theory_pcheck(2), 0.853553),
         ("pcheck(3)", theory_pcheck(3), 0.908248),
         ("pcheck(4)", theory_pcheck(4), 0.933013),
         ("pcheck(5)", theory_pcheck(5), 0.947214),
-        ("delta(2)", trace_distance_pure(
-            uniform_superposition([BitString(4, 3), BitString(4, 9)]),
-            uniform_superposition([BitString(4, 3)]),
+        ("delta(2)", math.sqrt(
+            1.0 - acceptance_probability(pair, branch, VerifyMethod.PROJECTIVE)
         ), 0.707107),
-        ("helstrom(pair, branch)", helstrom_success_probability(
-            uniform_superposition([BitString(4, 3), BitString(4, 9)]),
-            uniform_superposition([BitString(4, 3)]),
+        ("helstrom(pair, branch)", 1.0 - acceptance_probability(
+            pair, branch, VerifyMethod.HELSTROM_PER_BRANCH
         ), 0.853553),
     ]
     worst = max(abs(got - want) for _, got, want in checks)

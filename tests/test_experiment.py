@@ -12,11 +12,13 @@ import math
 import re
 import threading
 from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
 
 from qseal import experiment, seal, sparsestate
+from qseal.bits import BitString
 from qseal.errors import InvalidInputError
 from qseal.experiment import (
     CSV_HEADER,
@@ -41,13 +43,15 @@ from qseal.seal import (
     ReturnKind,
     SealPackage,
     VerifyMethod,
+    acceptance_probability,
     alice_seal_binary,
     alice_seal_nary,
     alice_verify_classical,
     alice_verify_quantum,
     bob_respond,
+    branch_count,
 )
-from qseal.sparsestate import SparseState
+from qseal.sparsestate import SparseState, singleton, uniform_superposition
 from qseal.symcrypto import Ciphertext
 from qseal.tcf import TcfOracle, TcfParams
 
@@ -255,6 +259,86 @@ class TestTheoryRate:
             bit_len=1100,
         )
         assert theory_rate(wide) == 1.0
+
+
+def exact_rate(cfg: TrialConfig, original: SparseState) -> float:
+    """The configured quantum statistic for one sealed register, summed over
+    Bob's response distribution, each term read from acceptance_probability.
+
+    measure-keep returns each of the k collapses with weight 1/k;
+    measure-random-state returns each branch with weight 2^-n and a string
+    outside the register with weight 1 - k/2^n.  Every outside string
+    scores the same, so one of them stands for all.
+    """
+    method, n, k = cfg.verify_method, cfg.bit_len, original.num_branches
+
+    def accept(returned: SparseState) -> float:
+        return acceptance_probability(original, returned, method)
+
+    if cfg.strategy is CheatStrategy.HONEST:
+        return accept(original)
+    collapses = [accept(singleton(branch)) for branch in original.branches]
+    if cfg.strategy is CheatStrategy.MEASURE_KEEP:
+        accepted = sum(p / k for p in collapses)
+    else:
+        used = {branch.value for branch in original.branches}
+        outside = singleton(BitString(n, min(set(range(k + 1)) - used)))
+        accepted = sum(math.ldexp(p, -n) for p in collapses) + (
+            1.0 - math.ldexp(k, -n)
+        ) * accept(outside)
+    return 1.0 - accepted  # a cheat's statistic is its detection rate
+
+
+class TestExactRates:
+    """theory_rate against exact sums over sealed instances: deterministic
+    gates next to the Monte Carlo intervals, which can miss."""
+
+    MODES = [BinaryTcf(), *(NarySymmetric(k) for k in range(2, 65))]
+    INSTANCES = 4
+
+    def registers(self, mode, bit_len: int):
+        """Registers of INSTANCES seals, then one representative of k branches."""
+        for seed in range(self.INSTANCES):
+            rng = Random(seed)
+            if isinstance(mode, BinaryTcf):
+                _, record = alice_seal_binary(TcfParams(bit_len), rng)
+            else:
+                _, record = alice_seal_nary(mode.k, b"exact", bit_len, rng)
+            yield record.original_state
+        yield uniform_superposition(
+            BitString(bit_len, v) for v in range(branch_count(mode))
+        )
+
+    @pytest.mark.parametrize("bit_len", [16, 64])
+    def test_sums_match_theory_for_every_quantum_config(self, bit_len):
+        configs = [
+            cfg
+            for cfg in valid_configs(self.MODES, (bit_len,), trials=1)
+            if cfg.return_kind is ReturnKind.QUANTUM
+        ]
+        assert len(configs) == 5 * len(self.MODES)
+        for cfg in configs:
+            want = theory_rate(cfg)
+            for register in self.registers(cfg.mode, bit_len):
+                got = exact_rate(cfg, register)
+                assert abs(got - want) <= 1e-12, (config_id(cfg), got, want)
+
+    def test_a_collapsed_branch_has_one_probability_per_k_and_method(self):
+        found: dict[tuple[int, VerifyMethod], set[str]] = {}
+        for mode in self.MODES:
+            k = branch_count(mode)
+            for bit_len in (16, 64):
+                for register in self.registers(mode, bit_len):
+                    for method in VerifyMethod:
+                        found.setdefault((k, method), set()).update(
+                            acceptance_probability(
+                                register, singleton(branch), method
+                            ).hex()
+                            for branch in register.branches
+                        )
+        assert len(found) == 63 * len(VerifyMethod)
+        spread = {key: hexes for key, hexes in found.items() if len(hexes) != 1}
+        assert spread == {}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from qseal.errors import (
     UnsupportedModeError,
 )
 from qseal.seal import (
+    MAX_BRANCHES,
     AliceSecret,
     BinaryTcf,
     CheatStrategy,
@@ -26,6 +27,7 @@ from qseal.seal import (
     ReturnKind,
     SealPackage,
     VerifyMethod,
+    acceptance_probability,
     alice_seal_binary,
     alice_seal_nary,
     alice_verify_classical,
@@ -537,9 +539,42 @@ class TestVerifyQuantum:
                     assert rng.getstate() == before, (record.mode, method, returned)
 
 
-# Reference copies of helstrom_discriminate and quantum_verdict as they were
-# before the Helstrom probability was split out and quantum_verdict stopped
-# calling helstrom_discriminate.  The library must match them draw for draw.
+class TopRandom(Random):
+    """A generator whose every random() is 1 - 2^-53, the largest value
+    Random.random returns."""
+
+    def random(self) -> float:
+        return 1.0 - 2.0**-53
+
+
+class TestHonestReturnAcceptedExactly:
+    """An unchanged register is accepted on every draw, the largest included:
+    its acceptance probability is 1.0, not a float sum of k squares a few
+    ulps below it."""
+
+    def records(self):
+        for seed in range(4):
+            yield seal_binary(seed=seed)[1]
+        for k in range(2, MAX_BRANCHES + 1):
+            yield seal_nary(k=k, seed=k)[1]
+
+    @pytest.mark.parametrize("method", list(VerifyMethod))
+    def test_the_top_draw_accepts(self, method):
+        for record in self.records():
+            reg = record.original_state
+            assert acceptance_probability(reg, reg, method) == 1.0, record.mode
+            assert quantum_verdict(reg, reg, method, TopRandom(0)), record.mode
+            assert alice_verify_quantum(record, reg, method, TopRandom(0)), (
+                record.mode
+            )
+
+
+# Reference copies of helstrom_discriminate and quantum_verdict.  The
+# reference verdict encodes the rule of one acceptance probability and one
+# draw: one width check, then a return close to the original draws once and
+# accepts (the projective path used to draw against its squared overlap, and
+# the Helstrom path used to accept without a draw), else one draw against the
+# method's probability.  The library must match them draw for draw.
 
 
 def reference_helstrom(truth, h0, h1, rng):
@@ -564,11 +599,17 @@ def reference_helstrom(truth, h0, h1, rng):
 
 
 def reference_quantum_verdict(original, returned, method, rng):
+    if original.bit_len != returned.bit_len:
+        raise InvalidInputError(
+            f"returned width {returned.bit_len} does not match "
+            f"original width {original.bit_len}"
+        )
+    if returned.isclose(original):
+        rng.random()
+        return True
     if method is VerifyMethod.PROJECTIVE:
         overlap = inner_product(original, returned)
         return rng.random() < overlap * overlap
-    if returned.isclose(original):
-        return True
     return reference_helstrom(returned, original, returned, rng) == 0
 
 
