@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qseal.bits import BitString
 from qseal.errors import CapacityError, InvalidInputError
+from qseal.seal import VerifyMethod, acceptance_probability
 from qseal.sparsestate import (
     AMP_TOL,
     SparseState,
@@ -294,14 +295,65 @@ def state_pairs(draw):
 
 
 # ---------------------------------------------------------------------------
-# overlaps
+# overlaps and trace distance
 # ---------------------------------------------------------------------------
 
 
+def trace_distance(a: SparseState, b: SparseState) -> float:
+    """sqrt(1 - <a|b>^2), read from the projective verifier's acceptance."""
+    return math.sqrt(
+        1.0 - acceptance_probability(a, b, VerifyMethod.PROJECTIVE)
+    )
+
+
 class TestTraceDistance:
+    def test_branch_versus_two_branch_superposition(self):
+        state = uniform(8, 3, 12)
+        branch = singleton(bs(8, 12))
+        assert abs(trace_distance(state, branch) - math.sqrt(0.5)) < 1e-12
+        helstrom_success = 1.0 - acceptance_probability(
+            state, branch, VerifyMethod.HELSTROM_PER_BRANCH
+        )
+        assert abs(helstrom_success - 0.8535533905932737) < 1e-12
+
+    def test_three_branch_distance_is_sqrt_two_thirds(self):
+        state = uniform(8, 1, 2, 3)
+        branch = singleton(bs(8, 2))
+        assert abs(trace_distance(state, branch) - math.sqrt(2.0 / 3.0)) < 1e-12
+
+    def test_orthogonal_states_have_distance_one(self):
+        assert trace_distance(singleton(bs(6, 1)), singleton(bs(6, 2))) == 1.0
+
+    def test_identical_states_have_distance_zero(self):
+        state = uniform(6, 1, 2, 3)
+        assert trace_distance(state, state) < 1e-7
+
+    def test_uniform_branch_distance_formula_for_all_k(self):
+        # One branch of a uniform k-branch state: distance sqrt(1 - 1/k).
+        for k in range(2, 65):
+            state = uniform(8, *range(k))
+            branch = singleton(bs(8, 0))
+            expected = math.sqrt(1.0 - 1.0 / k)
+            assert abs(trace_distance(state, branch) - expected) < 1e-12
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             inner_product(uniform(4, 1), uniform(5, 1))
+
+    @given(st.data())
+    @settings(max_examples=50)
+    def test_symmetry_and_bounds(self, data):
+        bit_len = data.draw(st.integers(min_value=2, max_value=32))
+        top = (1 << bit_len) - 1
+        pick = st.sets(
+            st.integers(min_value=0, max_value=top), min_size=1, max_size=8
+        )
+        a = uniform(bit_len, *data.draw(pick))
+        b = uniform(bit_len, *data.draw(pick))
+        d_ab = trace_distance(a, b)
+        d_ba = trace_distance(b, a)
+        assert abs(d_ab - d_ba) < 1e-12
+        assert -1e-12 <= d_ab <= 1.0 + 1e-12
 
     @given(state_pairs())
     @settings(max_examples=300)
