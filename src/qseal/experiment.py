@@ -33,7 +33,6 @@ from .seal import (
     SealMode,
     VerifyMethod,
     branch_count,
-    check_register,
     check_width,
     classical_verdict,
     compatible,
@@ -42,7 +41,7 @@ from .seal import (
     quantum_verdict,
     register_response,
 )
-from .sparsestate import SparseState, helstrom_discriminate, uniform_superposition
+from .sparsestate import uniform_superposition
 from .tcf import TcfParams
 
 Z95 = 1.959963984540054
@@ -156,11 +155,11 @@ def _report(
     return EstimateReport(statistic, k, successes / trials, low, high, trials, p_theory)
 
 
-def _stream_hash(master_seed: int, *path: int | str) -> hashlib._Hash:
-    """SHA-256 state over a signed 64-bit master seed and a label path.
+def _stream_hash(master_seed: int, label: str) -> hashlib._Hash:
+    """SHA-256 state over a signed 64-bit master seed and a stream label.
 
-    _branch_rng turns it, extended by more path parts, into a stream; a run
-    hashes its (seed, label) prefix once and branches it per trial.
+    _branch_rng extends it by an index into one stream; a run hashes its
+    (seed, label) prefix once and branches it per trial.
     """
     try:
         h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
@@ -168,29 +167,22 @@ def _stream_hash(master_seed: int, *path: int | str) -> hashlib._Hash:
         raise InvalidInputError(
             f"seed must be in [-2^63, 2^63), got {master_seed}"
         ) from exc
-    _absorb(h, path)
+    data = label.encode()
+    h.update(b"s" + struct.pack(">I", len(data)) + data)
     return h
 
 
-def _absorb(h: hashlib._Hash, path: tuple[int | str, ...]) -> None:
-    for part in path:
-        if isinstance(part, int):
-            h.update(b"i" + struct.pack(">q", part))
-        else:
-            data = part.encode()
-            h.update(b"s" + struct.pack(">I", len(data)) + data)
-
-
-def _branch_rng(prefix: hashlib._Hash, *path: int | str) -> Random:
-    """The stream of ``prefix`` extended by ``path``; ``prefix`` is not changed."""
+def _branch_rng(prefix: hashlib._Hash, index: int) -> Random:
+    """The stream of ``prefix`` extended by ``index``; ``prefix`` is not changed."""
     h = prefix.copy()
-    _absorb(h, path)
+    h.update(b"i" + struct.pack(">q", index))
     return Random(int.from_bytes(h.digest()[:8], "big"))
 
 
-def _spawned_rng(master_seed: int, *path: int | str) -> Random:
-    """Independent stream derived from a signed 64-bit master seed and a label path."""
-    return _branch_rng(_stream_hash(master_seed), *path)
+def _spawned_rng(master_seed: int, label: str, index: int) -> Random:
+    """Independent stream derived from a signed 64-bit master seed, a label
+    and an index."""
+    return _branch_rng(_stream_hash(master_seed, label), index)
 
 
 def theory_rate(config: TrialConfig) -> float:
@@ -220,8 +212,10 @@ def _run_one(config: TrialConfig, rng: Random, params: TcfParams | None) -> bool
 
     The round makes the RNG calls of alice_seal_*, bob_respond and
     alice_verify_* in their order, so its verdict is theirs, but builds only
-    the register and its branches.  ``params`` is TcfParams(config.bit_len)
-    in binary mode, built once per run, and None in n-ary mode.
+    the register and its branches.  The register is uniform over k distinct
+    branches, so check_register could not fail on it and is not called.
+    ``params`` is TcfParams(config.bit_len) in binary mode, built once per
+    run, and None in n-ary mode.
     """
     if params is not None:
         _, *branches = draw_claw(params, rng)
@@ -229,7 +223,6 @@ def _run_one(config: TrialConfig, rng: Random, params: TcfParams | None) -> bool
         rng.getrandbits(8 * NARY_SECRET_BYTES)  # the secret a seal would draw
         branches = draw_branches(config.mode.k, config.bit_len, rng)
     register = uniform_superposition(branches)
-    check_register(config.mode, register)
     answer = register_response(register, config.strategy, config.return_kind, rng)
     if config.return_kind is ReturnKind.CLASSICAL:
         x1, x2 = branches
@@ -312,30 +305,23 @@ def mixture_diagnostic(
     """Discrimination success when the verifier is NOT told the branch.
 
     Each trial flips a fair coin between an honest return (the original
-    two-branch state) and a read-then-keep cheat (a collapsed branch), then
-    applies the optimal test of "original state" against "uniform branch
-    mixture": project onto the original, onto its in-span complement, and
-    coin-flip outside the span.  The reported statistic is the equal-prior
-    success rate, 3/4 in theory for two branches; it sits below the
-    per-branch detection figure because here nobody tells the verifier
-    which branch the cheater kept.  The pair is drawn as a two-branch n-ary
-    seal draws it, and the cheat collapses it as bob_respond's measure-keep
-    does; widths run from 3 to MAX_BIT_LEN.
+    two-branch state |o>) and a read-then-keep cheat (a collapsed branch),
+    and calls it honest when Alice's projective verifier accepts.  That is
+    the optimal test of |o> against the uniform branch mixture rho (Helstrom
+    1976): in the branches' span rho = 1/2 |o><o| + 1/2 |c><c|, |c> the
+    complement of |o>, so the positive eigenspace of 1/2 (|o><o| - rho) is
+    |o>.  The equal-prior success rate is 1/2 * 1 + 1/2 * 1/2 = 3/4, below
+    the per-branch detection figure because nobody tells the verifier which
+    branch the cheater kept.  The pair is drawn as a two-branch n-ary seal
+    draws it, the cheat collapses it as bob_respond's measure-keep does;
+    widths run from 3 to MAX_BIT_LEN.
     """
     check_width(NarySymmetric(2), bit_len)
-    amp = 1.0 / math.sqrt(2.0)
     prefix = _stream_hash(seed, "mixture")
     successes = 0
     for index in range(trials):
         rng = _branch_rng(prefix, index)
-        x1, x2 = draw_branches(2, bit_len, rng)
-        original = uniform_superposition((x1, x2))
-        # In-span complement of the original: same branches, opposite signs,
-        # given in value order so the state need not sort them.
-        if x1.value < x2.value:
-            complement = SparseState(bit_len, {x1: amp, x2: -amp})
-        else:
-            complement = SparseState(bit_len, {x2: -amp, x1: amp})
+        original = uniform_superposition(draw_branches(2, bit_len, rng))
         honest = rng.random() < 0.5
         if honest:
             truth = original
@@ -343,7 +329,6 @@ def mixture_diagnostic(
             truth = register_response(
                 original, CheatStrategy.MEASURE_KEEP, ReturnKind.QUANTUM, rng
             )
-        said_honest = helstrom_discriminate(truth, original, complement, rng) == 0
-        if said_honest == honest:
+        if quantum_verdict(original, truth, VerifyMethod.PROJECTIVE, rng) == honest:
             successes += 1
     return _report("discrimination_success", 2, successes, trials, 0.75)

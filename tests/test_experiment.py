@@ -192,10 +192,19 @@ class TestTheory:
         # mixture.  Spectrum of the difference is {+1/2, -1/2}, so the best
         # equal-prior success rate is 1/2 + 1/4 * ||diff||_1 = 3/4.
         psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        diff = np.outer(psi, psi) - np.eye(2) / 2.0
+        kept = np.eye(2)  # the two branches a cheat may keep
+        rho = 0.5 * np.outer(kept[0], kept[0]) + 0.5 * np.outer(kept[1], kept[1])
+        diff = np.outer(psi, psi) - rho
         eigs = np.linalg.eigvalsh(diff)
         assert np.allclose(np.sort(eigs), [-0.5, 0.5])
         assert abs((0.5 + 0.25 * np.abs(eigs).sum()) - 0.75) < 1e-12
+        # The optimal test projects onto the positive eigenspace of
+        # 1/2 (|o><o| - rho): the original itself, so Alice's projective
+        # verifier is that test.
+        values, vectors = np.linalg.eigh(0.5 * diff)
+        positive = vectors[:, values > 0]
+        assert positive.shape == (2, 1)
+        assert abs(abs(positive[:, 0] @ psi) - 1.0) < 1e-12
 
 
 class TestTheoryRate:
@@ -322,6 +331,23 @@ class TestExactRates:
             for register in self.registers(cfg.mode, bit_len):
                 got = exact_rate(cfg, register)
                 assert abs(got - want) <= 1e-12, (config_id(cfg), got, want)
+
+    @pytest.mark.parametrize("bit_len", [3, 16, 64])
+    def test_mixture_sum_is_three_quarters(self, bit_len):
+        """Equal priors: an honest return is accepted, a cheat keeps either
+        branch with 1/2 and is caught when the projective verifier rejects."""
+        for register in self.registers(NarySymmetric(2), bit_len):
+
+            def accept(returned: SparseState) -> float:
+                return acceptance_probability(
+                    register, returned, VerifyMethod.PROJECTIVE
+                )
+
+            success = 0.5 * accept(register) + 0.5 * sum(
+                0.5 * (1.0 - accept(singleton(branch)))
+                for branch in register.branches
+            )
+            assert abs(success - 0.75) <= 1e-12, (register, success)
 
     def test_a_collapsed_branch_has_one_probability_per_k_and_method(self):
         found: dict[tuple[int, VerifyMethod], set[str]] = {}
@@ -579,9 +605,9 @@ class TestTrialKernel:
         run_trials(cfg)
         assert built == states * cfg.trials
 
-    def test_a_helstrom_verdict_tests_closeness_once_and_takes_two_overlaps(
-        self, monkeypatch
-    ):
+    @pytest.fixture
+    def verdict_calls(self, monkeypatch) -> dict[str, int]:
+        """Counts of SparseState.isclose and inner_product calls."""
         calls = {"isclose": 0, "inner_product": 0}
 
         def counting(name, fn):
@@ -597,12 +623,30 @@ class TestTrialKernel:
         counted_inner = counting("inner_product", sparsestate.inner_product)
         monkeypatch.setattr(sparsestate, "inner_product", counted_inner)
         monkeypatch.setattr(seal, "inner_product", counted_inner)
+        return calls
+
+    def test_a_helstrom_verdict_tests_closeness_once_and_takes_two_overlaps(
+        self, verdict_calls
+    ):
         for mode in (BinaryTcf(), NarySymmetric(8)):
             # A kept branch never equals the register: every verdict is a test.
             cfg = config(mode=mode, trials=50)
-            calls.update(isclose=0, inner_product=0)
+            verdict_calls.update(isclose=0, inner_product=0)
             run_trials(cfg)
-            assert calls == {"isclose": cfg.trials, "inner_product": 2 * cfg.trials}
+            assert verdict_calls == {
+                "isclose": cfg.trials,
+                "inner_product": 2 * cfg.trials,
+            }
+
+    def test_a_mixture_verdict_tests_closeness_once_and_takes_one_overlap(
+        self, verdict_calls
+    ):
+        """An honest trial is accepted on closeness alone; a cheat's verdict
+        takes one overlap."""
+        trials = 200
+        mixture_diagnostic(16, trials, seed=4)
+        assert verdict_calls["isclose"] == trials
+        assert 0 < verdict_calls["inner_product"] < trials  # one per cheat
 
 
 class TestStreamPrefix:
@@ -842,6 +886,25 @@ class TestMixture:
     def test_sits_below_the_per_branch_figure(self):
         report = mixture_diagnostic(bit_len=12, trials=20_000, seed=16)
         assert report.p_hat < HELSTROM_2 - 0.05
+
+    def test_an_honest_trial_succeeds_on_the_top_draw(self, monkeypatch):
+        """Every trial's coin says honest and every later random() is
+        1 - 2^-53, the largest value it returns: an unchanged register is
+        accepted with probability 1.0, so every trial succeeds."""
+
+        class HonestThenTop(Random):
+            coin_drawn = False
+
+            def random(self) -> float:
+                if not self.coin_drawn:
+                    self.coin_drawn = True
+                    return 0.25
+                return 1.0 - 2.0**-53
+
+        monkeypatch.setattr(
+            experiment, "_branch_rng", lambda prefix, index: HonestThenTop(index)
+        )
+        assert mixture_diagnostic(16, 50, seed=1).p_hat == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInputError):
