@@ -48,14 +48,12 @@ from .seal import (
 from .sparsestate import (
     SparseState,
     hadamard_measure,
-    helstrom_discriminate,
     inner_product,
-    measure_computational,
     singleton,
     uniform_superposition,
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
-from .tcf import Claw, TcfKeyPair, TcfOracle, TcfParams, keygen, sample_claw
+from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "CheatStrategy",
     "Ciphertext",
     "ClassicalReturn",
-    "Claw",
     "DocumentError",
     "EstimateReport",
     "InvalidInputError",
@@ -99,14 +96,11 @@ __all__ = [
     "fig1_curve",
     "find_and_dec",
     "hadamard_measure",
-    "helstrom_discriminate",
     "inner_product",
     "key_tag",
     "keygen",
-    "measure_computational",
     "mixture_diagnostic",
     "run_trials",
-    "sample_claw",
     "singleton",
     "theory_pcheck",
     "uniform_superposition",

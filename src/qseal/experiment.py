@@ -7,10 +7,10 @@ bob_respond and alice_verify_* wrap; ciphertexts, claw images, packages and
 records draw nothing and are never read by a verdict, so no trial makes
 them.  Trials get their own random.Random seeded by hashing the master seed
 with the trial index, so results are reproducible bit-for-bit and
-independent of how trials are scheduled: fig1_curve may run its k points on
-threads without changing any count.  A run hashes the (seed, label) prefix
-once and extends a copy of it by each trial's index, which gives each trial
-exactly the stream _spawned_rng(seed, label, index) derives on its own.
+independent of how trials are scheduled.  Every run is serial, in the
+calling thread.  A run hashes the (seed, label) prefix once and extends a
+copy of it by each trial's index, which gives each trial exactly the stream
+_spawned_rng(seed, label, index) derives on its own.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -262,30 +261,28 @@ def fig1_curve(
 
     One report per k in [2, k_max], each exactly what run_trials returns for
     that point: n-ary seal, quantum return, per-branch Helstrom verification,
-    with p_theory = theory_pcheck(k).  workers threads whole k points (at most
-    k_max - 1 threads); no count depends on it, and under the GIL no speedup.
-    No library or CLI path passes it; it stays only while the benchmark
-    does, and goes with the pool once that stops (ROADMAP item 1).
+    with p_theory = theory_pcheck(k).  The points run one after another in
+    the calling thread.  ``workers`` must be >= 1 and is otherwise unused;
+    no library or CLI path passes it, and it goes once the benchmark stops
+    passing it (ROADMAP item 1).
     """
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
     check_width(NarySymmetric(k_max), bit_len)  # then every smaller k fits too
-    configs = [
-        TrialConfig(
-            mode=NarySymmetric(k),
-            bit_len=bit_len,
-            strategy=CheatStrategy.MEASURE_KEEP,
-            return_kind=ReturnKind.QUANTUM,
-            verify_method=VerifyMethod.HELSTROM_PER_BRANCH,
-            trials=trials_per_point,
-            seed=_spawned_rng(seed, "curve", k).getrandbits(63),
+    return [
+        run_trials(
+            TrialConfig(
+                mode=NarySymmetric(k),
+                bit_len=bit_len,
+                strategy=CheatStrategy.MEASURE_KEEP,
+                return_kind=ReturnKind.QUANTUM,
+                verify_method=VerifyMethod.HELSTROM_PER_BRANCH,
+                trials=trials_per_point,
+                seed=_spawned_rng(seed, "curve", k).getrandbits(63),
+            )
         )
         for k in range(2, k_max + 1)
     ]
-    if workers == 1:  # stay in the calling thread
-        return [run_trials(config) for config in configs]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run_trials, configs))
 
 
 def curve_csv(points: list[EstimateReport]) -> str:
@@ -323,12 +320,9 @@ def mixture_diagnostic(
         rng = _branch_rng(prefix, index)
         original = uniform_superposition(draw_branches(2, bit_len, rng))
         honest = rng.random() < 0.5
-        if honest:
-            truth = original
-        else:
-            truth = register_response(
-                original, CheatStrategy.MEASURE_KEEP, ReturnKind.QUANTUM, rng
-            )
+        # An honest quantum return is the register itself and draws nothing.
+        strategy = CheatStrategy.HONEST if honest else CheatStrategy.MEASURE_KEEP
+        truth = register_response(original, strategy, ReturnKind.QUANTUM, rng)
         if quantum_verdict(original, truth, VerifyMethod.PROJECTIVE, rng) == honest:
             successes += 1
     return _report("discrimination_success", 2, successes, trials, 0.75)

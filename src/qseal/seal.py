@@ -433,8 +433,9 @@ def acceptance_probability(
     1/k) is the trace distance of the two states and 1/2 + 1/2 D the
     Helstrom success rate.
 
-    A return equal to the original is accepted with probability 1.0 exactly
-    by both methods, and a state of another width raises InvalidInputError.
+    A return equal to the original up to a global sign is accepted with
+    probability 1.0 exactly by both methods: amplitudes are real, so -psi is
+    the state psi.  A state of another width raises InvalidInputError.
     inner_product is symmetric bit for bit, so one overlap serves as
     <original|returned> and <returned|original>.
     """
@@ -446,6 +447,10 @@ def acceptance_probability(
     if returned.isclose(original):
         return 1.0
     overlap = inner_product(original, returned)
+    if overlap < 0.0:  # only then can the return be -original
+        negated = {key: -amp for key, amp in returned.terms.items()}
+        if SparseState(returned.bit_len, negated).isclose(original):
+            return 1.0
     if method is VerifyMethod.PROJECTIVE:
         return overlap * overlap
     return helstrom_p_report_h0(overlap, overlap, inner_product(returned, returned))

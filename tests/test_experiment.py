@@ -840,6 +840,20 @@ class TestCurve:
         assert threaded == serial
         assert len(seen) == 2 and max(seen) - before <= 2
 
+    def test_every_point_runs_in_the_calling_thread(self, monkeypatch):
+        serial = fig1_curve(k_max=4, trials_per_point=20, seed=3, workers=1)
+        run_point = experiment.run_trials
+        threads: list[int] = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_point(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_trials", recording)
+        points = fig1_curve(k_max=4, trials_per_point=20, seed=3, workers=4)
+        assert points == serial
+        assert threads == [threading.get_ident()] * 3
+
     def test_points_are_run_trials_reports(self):
         points = fig1_curve(k_max=4, trials_per_point=300, seed=18)
         for pt in points:

@@ -547,10 +547,16 @@ class TopRandom(Random):
         return 1.0 - 2.0**-53
 
 
+def negated(state: SparseState) -> SparseState:
+    """The same state with every amplitude's sign flipped."""
+    return SparseState(state.bit_len, {k: -a for k, a in state.terms.items()})
+
+
 class TestHonestReturnAcceptedExactly:
     """An unchanged register is accepted on every draw, the largest included:
     its acceptance probability is 1.0, not a float sum of k squares a few
-    ulps below it."""
+    ulps below it.  So is the register with its global sign flipped, which
+    is the same state."""
 
     def records(self):
         for seed in range(4):
@@ -568,13 +574,24 @@ class TestHonestReturnAcceptedExactly:
                 record.mode
             )
 
+    @pytest.mark.parametrize("method", list(VerifyMethod))
+    def test_the_negated_register_is_accepted_on_the_top_draw(self, method):
+        for record in self.records():
+            reg = record.original_state
+            flipped = negated(reg)
+            assert acceptance_probability(reg, flipped, method) == 1.0, record.mode
+            assert alice_verify_quantum(record, flipped, method, TopRandom(0)), (
+                record.mode
+            )
+
 
 # Reference copies of helstrom_discriminate and quantum_verdict.  The
 # reference verdict encodes the rule of one acceptance probability and one
-# draw: one width check, then a return close to the original draws once and
-# accepts (the projective path used to draw against its squared overlap, and
-# the Helstrom path used to accept without a draw), else one draw against the
-# method's probability.  The library must match them draw for draw.
+# draw: one width check, then a return close to the original or to its
+# negation draws once and accepts (the projective path used to draw against
+# its squared overlap, and the Helstrom path used to accept without a draw),
+# else one draw against the method's probability.  The library must match
+# them draw for draw.
 
 
 def reference_helstrom(truth, h0, h1, rng):
@@ -604,7 +621,7 @@ def reference_quantum_verdict(original, returned, method, rng):
             f"returned width {returned.bit_len} does not match "
             f"original width {original.bit_len}"
         )
-    if returned.isclose(original):
+    if returned.isclose(original) or negated(returned).isclose(original):
         rng.random()
         return True
     if method is VerifyMethod.PROJECTIVE:
@@ -627,10 +644,9 @@ def random_state(rng: Random, bit_len: int) -> SparseState:
 
 def related_states(rng: Random, base: SparseState) -> list[SparseState]:
     """States that meet base on the shortcut and degenerate paths."""
-    negated = SparseState(base.bit_len, {k: -a for k, a in base.terms.items()})
     kept = singleton(rng.choice(base.branches))
     wider = singleton(BitString(base.bit_len + 1, 0))
-    return [base, negated, kept, wider, random_state(rng, base.bit_len)]
+    return [base, negated(base), kept, wider, random_state(rng, base.bit_len)]
 
 
 def outcome_of(fn, *args):
@@ -670,6 +686,24 @@ class TestVerdictsMatchReference:
                     )
                     assert got == want, case
                     assert mine.getstate() == theirs.getstate(), case
+
+
+class TestGlobalSign:
+    """Amplitudes are real, so a return and its negation are one state, and
+    Alice accepts them with the same probability, bit for bit."""
+
+    CASES = 1000
+
+    def test_a_return_and_its_negation_are_accepted_alike(self):
+        rng = Random(2026)
+        for case in range(self.CASES):
+            original = random_state(rng, rng.choice((3, 8, 16)))
+            kept = singleton(rng.choice(original.branches))
+            for returned in (original, kept, random_state(rng, original.bit_len)):
+                for method in VerifyMethod:
+                    p = acceptance_probability(original, returned, method)
+                    q = acceptance_probability(original, negated(returned), method)
+                    assert p.hex() == q.hex(), (case, method)
 
 
 # ---------------------------------------------------------------------------
