@@ -53,7 +53,7 @@ from .sparsestate import (
     uniform_superposition,
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
-from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen
+from .tcf import TcfOracle, TcfParams, keygen
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "SealPackage",
     "SparseState",
     "TagNotFoundError",
-    "TcfKeyPair",
     "TcfOracle",
     "TcfParams",
     "TrialConfig",

@@ -329,12 +329,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     top level hands every later token to it, so the top level can print
     nothing but its usage line (with an "unrecognized arguments" error), and
     an explicit metavar keeps that line listing every subcommand.  Any other
-    ``argv`` (no command, ``--help``, an unknown command, a flag first) gets
-    every subcommand with its help line, and options only on those whose
-    name is a token of ``argv``, since argparse dispatches only to a
-    subcommand named by a whole token.  The saving is per call and nothing
-    is cached.  All formatters of one build share one terminal-width read,
-    at the width argparse would pick.
+    ``argv`` gets every subcommand.  All formatters of one build share one
+    terminal-width read, at the width argparse would pick.
     """
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -352,13 +348,11 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         required=True,
         metavar=None if only is None else "{%s}" % ",".join(COMMANDS),
     )
-    invoked = set(argv)
     for name in COMMANDS if only is None else [only]:
         help_text, handler, add_options = COMMANDS[name]
         command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if name in invoked:
-            add_options(command)
-            command.set_defaults(handler=handler)
+        add_options(command)
+        command.set_defaults(handler=handler)
     return parser
 
 

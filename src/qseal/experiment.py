@@ -74,7 +74,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def theory_pcheck(k: int) -> float:
     """Closed-form per-branch detection probability for k branches."""
-    if k < 1:
+    if not k >= 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     return 0.5 + 0.5 * math.sqrt(1.0 - 1.0 / k)
 
@@ -107,17 +107,8 @@ class TrialConfig:
                 raise InvalidInputError(
                     "classical challenges are defined only for two branches"
                 )
-        else:
-            if self.verify_method is None:
-                raise InvalidInputError("quantum challenges need a verify_method")
-            if (
-                self.strategy is CheatStrategy.HONEST
-                and self.verify_method is VerifyMethod.HELSTROM_PER_BRANCH
-            ):
-                raise InvalidInputError(
-                    "helstrom verification needs a cheating alternative; an "
-                    "honest run has none"
-                )
+        elif self.verify_method is None:
+            raise InvalidInputError("quantum challenges need a verify_method")
         check_width(self.mode, self.bit_len)
 
     @property

@@ -41,7 +41,7 @@ from .sparsestate import (
     uniform_superposition,
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
-from .tcf import TcfKeyPair, TcfOracle, TcfParams, keygen
+from .tcf import TcfOracle, TcfParams, keygen
 
 # Upper bound on superposition branches in n-ary mode.
 MAX_BRANCHES = 64
@@ -240,12 +240,12 @@ ReturnMessage = QuantumReturn | ClassicalReturn
 
 def draw_claw(
     params: TcfParams, rng: Random
-) -> tuple[TcfKeyPair, BitString, BitString]:
+) -> tuple[TcfOracle, BitString, BitString]:
     """Every draw of a binary seal: a fresh instance, then a uniform claw
     (x1, x1 ^ shift) of it."""
-    keypair = keygen(params, rng)
+    tcf = keygen(params, rng)
     x1 = BitString.random(params.bit_len, rng)
-    return keypair, x1, x1 ^ keypair.shift
+    return tcf, x1, x1 ^ tcf.shift
 
 
 def draw_branches(k: int, bit_len: int, rng: Random) -> list[BitString]:
@@ -266,19 +266,19 @@ def alice_seal_binary(
 
     The sealed secret is the claw's image.
     """
-    keypair, x1, x2 = draw_claw(params, rng)
+    tcf, x1, x2 = draw_claw(params, rng)
     register = uniform_superposition((x1, x2))
     package = SealPackage(
         mode=BinaryTcf(),
         bit_len=params.bit_len,
         register=register,
-        tcf=keypair.oracle(),
+        tcf=tcf,
     )
     record = AliceSecret(
         mode=BinaryTcf(),
-        secret=keypair.eval(x1),
+        secret=tcf.eval(x1),
         branches=(x1, x2),
-        trapdoor=keypair.shift,
+        trapdoor=tcf.shift,
         original_state=register,
     )
     return package, record

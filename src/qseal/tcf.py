@@ -6,12 +6,12 @@ min(x, x xor s), so x and x xor s collide and nothing else does (up to
 SHA-256 collisions, which inputs at most half the 256-bit image width keep
 out of reach).
 
-Canonicalization needs the shift, so honest evaluation is modeled as oracle
-access: parties other than the key holder evaluate through a TcfOracle
-handle rather than recomputing the function from public data.  The handle
-carries the whole instance, shift included, and so does the package
-document that ships it; the simulation relies on the protocol, not on
-hiding, to keep the reader to eval.  A deployment would substitute a
+One class, TcfOracle, models an instance.  Alice draws it with keygen,
+computes her secret with its eval, and the seal package carries the same
+object, whose document holds the same three fields.  Canonicalization needs
+the shift, so the instance every party holds includes it: honest evaluation
+is modeled as oracle access, and the simulation relies on the protocol, not
+on hiding, to keep the reader to eval.  A deployment would substitute a
 function family whose forward direction is publicly computable; the
 protocol layers above call eval, apart from one check.
 
@@ -71,11 +71,30 @@ def _image(params: TcfParams, salt: bytes, shift: int, x: BitString) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class TcfOracle:
-    """Evaluation handle for one committed instance.
+    """One committed instance: its sizing, salt and shift, and its eval.
 
-    The protocol only calls eval on it.  The fields are public because the
-    package document serializes them: an instance the reader can evaluate
-    is an instance the reader holds.
+    keygen draws it and the binary seal package carries it unchanged.  The
+    fields are public because the package document serializes them: an
+    instance the reader can evaluate is an instance the reader holds.
+    """
+
+    params: TcfParams
+    salt: bytes
+    shift: BitString  # trapdoor: x and x xor shift share an image
+
+    def __post_init__(self) -> None:
+        _check_instance(self.params, self.salt, self.shift)
+
+    def eval(self, x: BitString) -> bytes:
+        return _image(self.params, self.salt, self.shift.value, x)
+
+
+@dataclass(frozen=True, slots=True)
+class TcfKeyPair:
+    """The same instance under an older name that no library path builds.
+
+    It stays only because the benchmark patches ``TcfKeyPair.eval`` by name,
+    and goes with the benchmark change that stops doing so.
     """
 
     params: TcfParams
@@ -89,42 +108,21 @@ class TcfOracle:
         return _image(self.params, self.salt, self.shift.value, x)
 
 
-@dataclass(frozen=True, slots=True)
-class TcfKeyPair:
-    params: TcfParams
-    salt: bytes
-    shift: BitString  # trapdoor: x and x xor shift share an image
-
-    def __post_init__(self) -> None:
-        _check_instance(self.params, self.salt, self.shift)
-
-    def oracle(self) -> TcfOracle:
-        return TcfOracle(self.params, self.salt, self.shift)
-
-    def eval(self, x: BitString) -> bytes:
-        return _image(self.params, self.salt, self.shift.value, x)
-
-
-@dataclass(frozen=True, slots=True)
-class Claw:
-    """Colliding pair: eval(x1) == eval(x2) == image, x1 != x2."""
-
-    x1: BitString
-    x2: BitString
-    image: bytes
-
-
-def keygen(params: TcfParams, rng: Random) -> TcfKeyPair:
+def keygen(params: TcfParams, rng: Random) -> TcfOracle:
     salt = rng.getrandbits(8 * SALT_BYTES).to_bytes(SALT_BYTES, "big")
     shift_value = 0
     while shift_value == 0:
         shift_value = rng.getrandbits(params.bit_len)
-    return TcfKeyPair(params, salt, BitString(params.bit_len, shift_value))
+    return TcfOracle(params, salt, BitString(params.bit_len, shift_value))
 
 
-def sample_claw(keypair: TcfKeyPair, rng: Random) -> Claw:
-    """Draw a uniformly random claw of the instance."""
-    x1 = BitString.random(keypair.params.bit_len, rng)
-    x2 = x1 ^ keypair.shift
-    return Claw(x1, x2, keypair.eval(x1))
+def sample_claw(
+    instance: TcfOracle, rng: Random
+) -> tuple[BitString, BitString, bytes]:
+    """Draw a uniformly random claw ``(x1, x2, image)`` of the instance.
 
+    No library path calls it: it stays only because the benchmark patches it
+    by name, and goes with the benchmark change that stops doing so.
+    """
+    x1 = BitString.random(instance.params.bit_len, rng)
+    return x1, x1 ^ instance.shift, instance.eval(x1)

@@ -739,15 +739,15 @@ class TestSimulate:
         assert run(*argv[:3], *argv[5:]) == 0
         assert "statistic=acceptance" in capsys.readouterr().out
 
-    def test_honest_helstrom_combination_rejected(self, capsys):
+    def test_honest_helstrom_combination_accepted(self, capsys):
         assert (
             run(
                 "simulate", "--strategy", "honest", "--kind", "quantum",
                 "--method", "helstrom", "--trials", "10",
             )
-            == 2
+            == 0
         )
-        capsys.readouterr()
+        assert "statistic=acceptance p_hat=1.000000" in capsys.readouterr().out
 
 
 class TestCurve:

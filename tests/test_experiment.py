@@ -169,6 +169,10 @@ class TestTheory:
         with pytest.raises(InvalidInputError):
             theory_pcheck(0)
 
+    def test_nan_k_is_refused(self):
+        with pytest.raises(InvalidInputError):
+            theory_pcheck(float("nan"))
+
     def test_strictly_increasing_in_k(self):
         values = [theory_pcheck(k) for k in range(2, 65)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -325,7 +329,7 @@ class TestExactRates:
             for cfg in valid_configs(self.MODES, (bit_len,), trials=1)
             if cfg.return_kind is ReturnKind.QUANTUM
         ]
-        assert len(configs) == 5 * len(self.MODES)
+        assert len(configs) == 6 * len(self.MODES)
         for cfg in configs:
             want = theory_rate(cfg)
             for register in self.registers(cfg.mode, bit_len):
@@ -394,9 +398,11 @@ class TestTrialConfig:
         with pytest.raises(InvalidInputError):
             config(verify_method=None)
 
-    def test_honest_helstrom_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            config(strategy=CheatStrategy.HONEST)
+    def test_honest_helstrom_is_accepted(self):
+        report = run_trials(config(strategy=CheatStrategy.HONEST, trials=200))
+        assert (report.statistic, report.p_hat, report.p_theory) == (
+            "acceptance", 1.0, 1.0
+        )
 
     def test_incompatible_strategy_kind(self):
         with pytest.raises(InvalidInputError):
@@ -511,9 +517,9 @@ EQUIVALENCE_CONFIGS = valid_configs(
 
 class TestTrialKernel:
     def test_every_valid_combination_is_covered(self):
-        # Per mode and width: 5 quantum combinations, plus 2 classical ones
+        # Per mode and width: 6 quantum combinations, plus 2 classical ones
         # (honest and measure-guess-d) for the two-branch modes.
-        assert len(EQUIVALENCE_CONFIGS) == 2 * (7 + 7 + 5 + 5)
+        assert len(EQUIVALENCE_CONFIGS) == 2 * (8 + 8 + 6 + 6)
         classical_k2 = {
             (cfg.bit_len, cfg.strategy)
             for cfg in EQUIVALENCE_CONFIGS
@@ -544,7 +550,8 @@ class TestTrialKernel:
     )
     def test_a_run_hashes_once_and_builds_no_seal_objects(self, monkeypatch, mode):
         """The one SHA-256 call per run is its stream prefix; trials copy it.
-        No ciphertext, claw image, package, record or oracle is built."""
+        No ciphertext, claw image, package or record is built, and a binary
+        trial builds exactly the one instance it draws."""
         hashes = 0
         real_sha256 = hashlib.sha256
 
@@ -564,11 +571,23 @@ class TestTrialKernel:
         hashes = 0
         mixture_diagnostic(16, trials=20, seed=3)
         assert hashes == 1
-        for cls in (SealPackage, AliceSecret, TcfOracle):
+        for cls in (SealPackage, AliceSecret):
             monkeypatch.setattr(cls, "__post_init__", refuse)
         monkeypatch.setattr(Ciphertext, "__init__", refuse)
+        instances = 0
+        real_check = TcfOracle.__post_init__
+
+        def counting_check(self):
+            nonlocal instances
+            instances += 1
+            real_check(self)
+
+        monkeypatch.setattr(TcfOracle, "__post_init__", counting_check)
+        per_trial = 1 if isinstance(mode, BinaryTcf) else 0
         for cfg in valid_configs([mode], (16,), trials=20):
+            instances = 0
             run_trials(cfg)
+            assert instances == per_trial * cfg.trials, config_id(cfg)
 
     @pytest.mark.parametrize(
         "strategy, kind, method, states",

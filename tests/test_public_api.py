@@ -41,3 +41,12 @@ def test_cli_import_loads_no_thread_pool_or_logging():
     added = set(result.stdout.split())
     assert "qseal.cli" in added
     assert added & {"concurrent.futures", "logging", "queue", "traceback"} == set()
+
+
+def test_one_tcf_instance_class_is_exported():
+    # TcfKeyPair and sample_claw stay in qseal.tcf only for the benchmark,
+    # which patches them by name.
+    assert "TcfOracle" in qseal.__all__ and "TcfKeyPair" not in qseal.__all__
+    assert callable(qseal.tcf.TcfKeyPair.eval)
+    assert callable(qseal.tcf.sample_claw)
+    assert not hasattr(qseal.tcf, "Claw")

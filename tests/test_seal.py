@@ -9,7 +9,9 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qseal import seal as seal_module
+from qseal import seal as seal_module, tcf as tcf_module
+from qseal.cli import main
+from qseal.documents import KIND_SECRET, parse_document
 from qseal.bits import BitString
 from qseal.errors import (
     InvalidInputError,
@@ -139,6 +141,38 @@ class TestSealBinary:
         assert package_a is not package_b
         assert hash(package_a) == hash(package_b)
         assert {package_a: "sealed"}[package_b] == "sealed"
+
+    def test_a_binary_round_uses_the_drawn_instance_alone(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """The package carries the instance keygen drew, and no library or
+        CLI path builds the older TcfKeyPair."""
+
+        def refuse(self):
+            raise AssertionError("a TcfKeyPair was built")
+
+        monkeypatch.setattr(tcf_module.TcfKeyPair, "__post_init__", refuse)
+        package, record = seal_binary(seed=4)
+        assert type(package.tcf) is TcfOracle
+        assert record.secret == package.tcf.eval(record.branches[0])
+        rng = Random(5)
+        assert bob_open(package, rng) == record.secret
+        quantum = bob_respond(
+            package, CheatStrategy.HONEST, ReturnKind.QUANTUM, rng
+        )
+        for method in VerifyMethod:
+            assert alice_verify_quantum(record, quantum.state, method, rng)
+        classical = bob_respond(
+            package, CheatStrategy.HONEST, ReturnKind.CLASSICAL, rng
+        )
+        assert alice_verify_classical(record, classical.mask)
+
+        pkg, sec = tmp_path / "package.json", tmp_path / "secret.json"
+        argv = ["seal", "--mode", "binary", "--bits", "16", "--seed", "4"]
+        assert main([*argv, "--out-package", str(pkg), "--out-secret", str(sec)]) == 0
+        assert main(["open", "--package", str(pkg)]) == 0
+        opened = capsys.readouterr().out.strip()
+        assert opened == parse_document(sec.read_text(), KIND_SECRET)["secret"]
 
 
 class TestSealNary:

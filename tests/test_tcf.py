@@ -10,29 +10,24 @@ from hypothesis import given, settings, strategies as st
 
 from qseal.bits import BitString
 from qseal.errors import InvalidInputError
-from qseal.tcf import (
-    Claw,
-    TcfKeyPair,
-    TcfOracle,
-    TcfParams,
-    keygen,
-    sample_claw,
-)
+from qseal.tcf import TcfKeyPair, TcfOracle, TcfParams, keygen, sample_claw
 
 # Frozen reference digest for a fixed instance (salt 00..0f, shift 0xb5,
 # input 0x4c at width 8).  Guards the hash layout against silent change.
 GOLDEN_IMAGE = "1deb7ac40031c622b5eaf76550e32fe90d1bf8597bc6baa26587e1089dfcab75"
 
 
-def verify_claw(oracle: TcfOracle | TcfKeyPair, claw: Claw) -> bool:
+def verify_claw(
+    instance: TcfOracle, x1: BitString, x2: BitString, image: bytes
+) -> bool:
     """Check x1 != x2 and that both map to the recorded image."""
-    if claw.x1 == claw.x2:
+    if x1 == x2:
         return False
-    return oracle.eval(claw.x1) == claw.image and oracle.eval(claw.x2) == claw.image
+    return instance.eval(x1) == image and instance.eval(x2) == image
 
 
-def fixed_keypair(bit_len: int = 8, shift: int = 0b1011_0101) -> TcfKeyPair:
-    return TcfKeyPair(TcfParams(bit_len), bytes(range(16)), BitString(bit_len, shift))
+def fixed_instance(bit_len: int = 8, shift: int = 0b1011_0101) -> TcfOracle:
+    return TcfOracle(TcfParams(bit_len), bytes(range(16)), BitString(bit_len, shift))
 
 
 class TestParams:
@@ -59,7 +54,7 @@ class TestKeygen:
     def test_same_seed_reproduces_the_instance(self):
         a = keygen(TcfParams(16), Random(1234))
         b = keygen(TcfParams(16), Random(1234))
-        assert a == b
+        assert type(a) is TcfOracle and a == b
         assert a.salt.hex() == "1de9ea6670d3da1fc735df5ef7697fb9"
         assert a.shift.hex() == "01ea"
 
@@ -71,36 +66,28 @@ class TestKeygen:
 
 class TestEval:
     def test_golden_digest(self):
-        keypair = fixed_keypair()
-        assert keypair.eval(BitString(8, 0b0100_1100)).hex() == GOLDEN_IMAGE
+        instance = fixed_instance()
+        assert instance.eval(BitString(8, 0b0100_1100)).hex() == GOLDEN_IMAGE
 
     def test_claw_mates_collide(self):
-        keypair = fixed_keypair()
+        instance = fixed_instance()
         x = BitString(8, 0b0100_1100)
-        assert keypair.eval(x) == keypair.eval(x ^ keypair.shift)
+        assert instance.eval(x) == instance.eval(x ^ instance.shift)
 
     def test_eval_is_deterministic(self):
-        keypair = fixed_keypair()
+        instance = fixed_instance()
         x = BitString(8, 3)
-        assert keypair.eval(x) == keypair.eval(x)
+        assert instance.eval(x) == instance.eval(x)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            fixed_keypair().eval(BitString(9, 3))
-
-    def test_oracle_answers_match_keypair(self):
-        keypair = fixed_keypair()
-        oracle = keypair.oracle()
-        for value in range(256):
-            assert oracle.eval(BitString(8, value)) == keypair.eval(
-                BitString(8, value)
-            )
+            fixed_instance().eval(BitString(9, 3))
 
     @pytest.mark.parametrize("bit_len", [4, 8, 12])
     def test_exactly_two_to_one_exhaustively(self, bit_len):
-        keypair = keygen(TcfParams(bit_len), Random(bit_len))
+        instance = keygen(TcfParams(bit_len), Random(bit_len))
         images = Counter(
-            keypair.eval(BitString(bit_len, v)) for v in range(1 << bit_len)
+            instance.eval(BitString(bit_len, v)) for v in range(1 << bit_len)
         )
         assert len(images) == (1 << bit_len) // 2
         assert set(images.values()) == {2}
@@ -108,49 +95,46 @@ class TestEval:
     @given(st.integers(min_value=0, max_value=(1 << 12) - 1), st.integers())
     @settings(max_examples=30)
     def test_collision_structure_property(self, value, seed):
-        keypair = keygen(TcfParams(12), Random(seed))
+        instance = keygen(TcfParams(12), Random(seed))
         x = BitString(12, value)
-        assert keypair.eval(x) == keypair.eval(x ^ keypair.shift)
+        assert instance.eval(x) == instance.eval(x ^ instance.shift)
 
 
 class TestClaws:
     def test_sampled_claws_verify(self):
-        keypair = keygen(TcfParams(16), Random(5))
-        oracle = keypair.oracle()
+        instance = keygen(TcfParams(16), Random(5))
         rng = Random(6)
         for _ in range(50):
-            claw = sample_claw(keypair, rng)
-            assert claw.x1 ^ claw.x2 == keypair.shift
-            assert verify_claw(oracle, claw)
+            x1, x2, image = sample_claw(instance, rng)
+            assert x1 ^ x2 == instance.shift
+            assert verify_claw(instance, x1, x2, image)
 
     def test_wrong_image_fails_verification(self):
-        keypair = keygen(TcfParams(16), Random(5))
-        claw = sample_claw(keypair, Random(6))
-        bad = Claw(claw.x1, claw.x2, b"\x00" * 32)
-        assert not verify_claw(keypair.oracle(), bad)
+        instance = keygen(TcfParams(16), Random(5))
+        x1, x2, _ = sample_claw(instance, Random(6))
+        assert not verify_claw(instance, x1, x2, b"\x00" * 32)
 
     def test_non_mate_pair_fails_verification(self):
-        keypair = keygen(TcfParams(16), Random(5))
-        claw = sample_claw(keypair, Random(6))
-        stranger = claw.x2 ^ BitString(16, 1) ^ keypair.shift
-        bad = Claw(claw.x1, stranger, claw.image)
-        assert not verify_claw(keypair.oracle(), bad)
+        instance = keygen(TcfParams(16), Random(5))
+        x1, x2, image = sample_claw(instance, Random(6))
+        stranger = x2 ^ BitString(16, 1) ^ instance.shift
+        assert not verify_claw(instance, x1, stranger, image)
 
     def test_degenerate_pair_fails_verification(self):
-        keypair = keygen(TcfParams(16), Random(5))
-        claw = sample_claw(keypair, Random(6))
-        assert not verify_claw(keypair.oracle(), Claw(claw.x1, claw.x1, claw.image))
+        instance = keygen(TcfParams(16), Random(5))
+        x1, _, image = sample_claw(instance, Random(6))
+        assert not verify_claw(instance, x1, x1, image)
 
     def test_claw_first_coordinate_is_uniformish(self):
         # Bit marginals of x1 over many samples stay near 1/2.
-        keypair = keygen(TcfParams(8), Random(50))
+        instance = keygen(TcfParams(8), Random(50))
         rng = Random(51)
         draws = 20_000
         ones = [0] * 8
         for _ in range(draws):
-            claw = sample_claw(keypair, rng)
+            x1, _, _ = sample_claw(instance, rng)
             for i in range(8):
-                ones[i] += (claw.x1.value >> i) & 1
+                ones[i] += (x1.value >> i) & 1
         for i in range(8):
             assert abs(ones[i] / draws - 0.5) < 0.02
 
@@ -174,14 +158,7 @@ class TestOracleValue:
         assert oracle != TcfOracle(params, bytes(16), shift)
         assert oracle != TcfOracle(params, salt, BitString(8, 6))
 
-    def test_keypair_hands_out_its_own_instance(self):
-        keypair = keygen(TcfParams(16), Random(3))
-        oracle = keypair.oracle()
-        assert (oracle.params, oracle.salt, oracle.shift) == (
-            keypair.params, keypair.salt, keypair.shift
-        )
-
     def test_oracle_is_frozen(self):
-        oracle = fixed_keypair().oracle()
+        oracle = fixed_instance()
         with pytest.raises(AttributeError):
             oracle.params = TcfParams(9)  # type: ignore[misc]
