@@ -1,16 +1,17 @@
 """Monte Carlo estimation of acceptance and detection rates.
 
-Every trial draws exactly what a seal draws, runs one respond/verify round,
-and counts the outcome.  It builds only the register and what the verdict
-reads, through the same draw helpers and role cores that alice_seal_*,
-bob_respond and alice_verify_* wrap; ciphertexts, claw images, packages and
-records draw nothing and are never read by a verdict, so no trial makes
-them.  Trials get their own random.Random seeded by hashing the master seed
-with the trial index, so results are reproducible bit-for-bit and
-independent of how trials are scheduled.  Every run is serial, in the
-calling thread.  A run hashes the (seed, label) prefix once and extends a
-copy of it by each trial's index, which gives each trial exactly the stream
-_spawned_rng(seed, label, index) derives on its own.
+A trial makes the draws of alice_seal_*, bob_respond and alice_verify_*, in
+their order and through their draw helpers, on branch values: it builds no
+BitString, SparseState or TcfOracle.  A quantum verdict is one random() below
+the acceptance probability of the return's class (the register, a string in
+it, a string outside it), one float per class for the run's k and width,
+which the run reads from a table.  A classical verdict is the parity of the
+mask against the branch difference.  Trials get their own random.Random
+seeded by hashing the master seed with the trial index, so results are
+reproducible bit-for-bit and independent of how trials are scheduled.  Every
+run is serial, in the calling thread.  A run hashes the (seed, label) prefix
+once and extends a copy of it by each trial's index, which gives each trial
+exactly the stream _spawned_rng(seed, label, index) derives on its own.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -23,6 +24,7 @@ import struct
 from dataclasses import dataclass
 from random import Random
 
+from .bits import BitString
 from .errors import InvalidInputError
 from .seal import (
     BinaryTcf,
@@ -31,16 +33,15 @@ from .seal import (
     ReturnKind,
     SealMode,
     VerifyMethod,
+    acceptance_probability,
     branch_count,
     check_width,
-    classical_verdict,
+    cheat_draws,
     compatible,
     draw_branches,
     draw_claw,
-    quantum_verdict,
-    register_response,
 )
-from .sparsestate import uniform_superposition
+from .sparsestate import hadamard_draw, singleton, syndrome_table, uniform_superposition
 from .tcf import TcfParams
 
 Z95 = 1.959963984540054
@@ -197,27 +198,38 @@ def theory_rate(config: TrialConfig) -> float:
     return 1.0 - math.ldexp(1.0, -config.bit_len)
 
 
-def _run_one(config: TrialConfig, rng: Random, params: TcfParams | None) -> bool:
-    """One seal/respond/verify round on the trial's stream; True = accepted.
+def _class_table(k: int, bit_len: int, method: VerifyMethod) -> tuple[float, ...]:
+    """acceptance_probability of the register, a branch and an outside string
+    against a k-branch register: one float each for every such register."""
+    register = uniform_superposition(BitString(bit_len, v) for v in range(k))
+    cases = register, singleton(BitString(bit_len, 0)), singleton(BitString(bit_len, k))
+    return tuple(acceptance_probability(register, case, method) for case in cases)
 
-    The round makes the RNG calls of alice_seal_*, bob_respond and
-    alice_verify_* in their order, so its verdict is theirs, but builds only
-    the register and its branches.  The register is uniform over k distinct
-    branches, so check_register could not fail on it and is not called.
-    ``params`` is TcfParams(config.bit_len) in binary mode, built once per
-    run, and None in n-ary mode.
-    """
+
+def _run_one(config: TrialConfig, rng: Random, params, table) -> bool:
+    """One seal/respond/verify round on the trial's stream; True = accepted.
+    ``params`` is the run's TcfParams (binary mode) or None, ``table`` its
+    _class_table (quantum return) or None; a run builds both once."""
+    bit_len, strategy = config.bit_len, config.strategy
     if params is not None:
-        _, *branches = draw_claw(params, rng)
+        _, shift, x1 = draw_claw(params, rng)
+        branches = [x1, x1 ^ shift]
     else:
         rng.getrandbits(8 * NARY_SECRET_BYTES)  # the secret a seal would draw
-        branches = draw_branches(config.mode.k, config.bit_len, rng)
-    register = uniform_superposition(branches)
-    answer = register_response(register, config.strategy, config.return_kind, rng)
-    if config.return_kind is ReturnKind.CLASSICAL:
-        x1, x2 = branches
-        return classical_verdict(x1, x2, answer)
-    return quantum_verdict(register, answer, config.verify_method, rng)
+        branches = draw_branches(config.mode.k, bit_len, rng)
+    honest = strategy is CheatStrategy.HONEST
+    if table is not None:
+        if not honest:
+            _, fresh = cheat_draws(strategy, bit_len, rng)
+        case = 0 if honest else 1 if fresh is None or fresh in branches else 2
+        return rng.random() < table[case]
+    if honest:  # weights are relative: |x1> + |x2> has the register's table
+        syndromes = syndrome_table([(value, 1.0) for value in branches])
+        mask = hadamard_draw(bit_len, syndromes, rng)
+    else:
+        _, mask = cheat_draws(strategy, bit_len, rng)
+    x1, x2 = branches
+    return not (mask & (x1 ^ x2)).bit_count() & 1
 
 
 def run_trials(config: TrialConfig) -> EstimateReport:
@@ -226,18 +238,18 @@ def run_trials(config: TrialConfig) -> EstimateReport:
     Round i runs on the stream _spawned_rng(config.seed, "trial", i), taken
     from one hash of the (seed, "trial") prefix per run.  Each round's
     verdict is that of sealing, responding and verifying through the public
-    roles on that stream; the round draws what they draw but builds only
-    the register and what the verdict reads.
+    roles on that stream.
     """
+    k, method = branch_count(config.mode), config.verify_method
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
+    table = None if method is None else _class_table(k, config.bit_len, method)
     prefix = _stream_hash(config.seed, "trial")
     accepted = sum(
-        _run_one(config, _branch_rng(prefix, index), params)
+        _run_one(config, _branch_rng(prefix, index), params, table)
         for index in range(config.trials)
     )
     statistic = config.statistic
     successes = config.trials - accepted if statistic == "detection" else accepted
-    k = branch_count(config.mode)
     return _report(statistic, k, successes, config.trials, theory_rate(config))
 
 
@@ -301,19 +313,20 @@ def mixture_diagnostic(
     |o>.  The equal-prior success rate is 1/2 * 1 + 1/2 * 1/2 = 3/4, below
     the per-branch detection figure because nobody tells the verifier which
     branch the cheater kept.  The pair is drawn as a two-branch n-ary seal
-    draws it, the cheat collapses it as bob_respond's measure-keep does;
-    widths run from 3 to MAX_BIT_LEN.
+    draws it, the cheat draws as bob_respond's measure-keep does, and the
+    verdict reads the run's class table; widths run from 3 to MAX_BIT_LEN.
     """
     check_width(NarySymmetric(2), bit_len)
     prefix = _stream_hash(seed, "mixture")
+    p_honest, p_kept, _ = _class_table(2, bit_len, VerifyMethod.PROJECTIVE)
     successes = 0
     for index in range(trials):
         rng = _branch_rng(prefix, index)
-        original = uniform_superposition(draw_branches(2, bit_len, rng))
+        draw_branches(2, bit_len, rng)
         honest = rng.random() < 0.5
         # An honest quantum return is the register itself and draws nothing.
-        strategy = CheatStrategy.HONEST if honest else CheatStrategy.MEASURE_KEEP
-        truth = register_response(original, strategy, ReturnKind.QUANTUM, rng)
-        if quantum_verdict(original, truth, VerifyMethod.PROJECTIVE, rng) == honest:
+        if not honest:
+            cheat_draws(CheatStrategy.MEASURE_KEEP, bit_len, rng)
+        if (rng.random() < (p_honest if honest else p_kept)) == honest:
             successes += 1
     return _report("discrimination_success", 2, successes, trials, 0.75)

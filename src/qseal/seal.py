@@ -238,25 +238,22 @@ ReturnMessage = QuantumReturn | ClassicalReturn
 # ---------------------------------------------------------------------------
 
 
-def draw_claw(
-    params: TcfParams, rng: Random
-) -> tuple[TcfOracle, BitString, BitString]:
-    """Every draw of a binary seal: a fresh instance, then a uniform claw
-    (x1, x1 ^ shift) of it."""
-    tcf = keygen(params, rng)
-    x1 = BitString.random(params.bit_len, rng)
-    return tcf, x1, x1 ^ tcf.shift
+def draw_claw(params: TcfParams, rng: Random) -> tuple[bytes, int, int]:
+    """Every draw of a binary seal: a fresh instance's salt and shift, then
+    the value x1 of a uniform claw (x1, x1 ^ shift) of it."""
+    salt, shift = keygen(params, rng)
+    return salt, shift, rng.getrandbits(params.bit_len)
 
 
-def draw_branches(k: int, bit_len: int, rng: Random) -> list[BitString]:
-    """Every draw of an n-ary seal after its secret: k distinct ``bit_len``-bit
-    branches, in the order first drawn."""
+def draw_branches(k: int, bit_len: int, rng: Random) -> list[int]:
+    """Every draw of an n-ary seal after its secret: the values of k distinct
+    ``bit_len``-bit branches, in the order first drawn."""
     # Rejection sampling: a repeated draw leaves the dict, and the order of
     # first draws, unchanged.
     values: dict[int, None] = {}
     while len(values) < k:
         values[rng.getrandbits(bit_len)] = None
-    return [BitString(bit_len, value) for value in values]
+    return list(values)
 
 
 def alice_seal_binary(
@@ -266,7 +263,9 @@ def alice_seal_binary(
 
     The sealed secret is the claw's image.
     """
-    tcf, x1, x2 = draw_claw(params, rng)
+    salt, shift, value = draw_claw(params, rng)
+    tcf = TcfOracle(params, salt, BitString(params.bit_len, shift))
+    x1, x2 = BitString(params.bit_len, value), BitString(params.bit_len, value ^ shift)
     register = uniform_superposition((x1, x2))
     package = SealPackage(
         mode=BinaryTcf(),
@@ -296,7 +295,7 @@ def alice_seal_nary(
     if not secret:
         raise InvalidInputError("secret must be nonempty")
     check_width(mode, bit_len)
-    chosen = draw_branches(k, bit_len, rng)
+    chosen = [BitString(bit_len, value) for value in draw_branches(k, bit_len, rng)]
     register = uniform_superposition(chosen)
     package = SealPackage(
         mode=mode,
@@ -326,7 +325,7 @@ def bob_open(package: SealPackage, rng: Random) -> bytes:
     same secret.  The register in the package value is untouched; opening an
     already collapsed register is deterministic.
     """
-    outcome = measure_outcome(package.register, rng)
+    outcome = measure_outcome(package.register, rng.random())
     if isinstance(package.mode, BinaryTcf):
         assert package.tcf is not None
         return package.tcf.eval(outcome)
@@ -355,31 +354,29 @@ def bob_respond(
         raise UnsupportedModeError(
             f"strategy {strategy.value} cannot answer a {kind.value} challenge"
         )
-    answer = register_response(package.register, strategy, kind, rng)
-    if kind is ReturnKind.QUANTUM:
-        return QuantumReturn(answer)
-    return ClassicalReturn(answer)
-
-
-def register_response(
-    register: SparseState,
-    strategy: CheatStrategy,
-    kind: ReturnKind,
-    rng: Random,
-) -> SparseState | BitString:
-    """Core of bob_respond for a compatible strategy and kind: the returned
-    state (quantum) or mask (classical), read off the register alone."""
+    register = package.register
     if strategy is CheatStrategy.HONEST:
         if kind is ReturnKind.QUANTUM:
-            return register
-        return hadamard_measure(register, rng)
-    # Every cheating strategy reads the register first.
-    outcome = measure_outcome(register, rng)
+            return QuantumReturn(register)
+        return ClassicalReturn(hadamard_measure(register, rng))
+    r, fresh = cheat_draws(strategy, register.bit_len, rng)
+    if fresh is None:
+        return QuantumReturn(singleton(measure_outcome(register, r)))
+    if kind is ReturnKind.QUANTUM:
+        return QuantumReturn(singleton(BitString(register.bit_len, fresh)))
+    return ClassicalReturn(BitString(register.bit_len, fresh))
+
+
+def cheat_draws(
+    strategy: CheatStrategy, bit_len: int, rng: Random
+) -> tuple[float, int | None]:
+    """Every draw of a cheat, in order: the random() on which Bob measures the
+    register, then the fresh value that measure-random-state returns and
+    measure-guess-d sends as its mask (None for measure-keep)."""
+    r = rng.random()
     if strategy is CheatStrategy.MEASURE_KEEP:
-        return singleton(outcome)
-    if strategy is CheatStrategy.MEASURE_RANDOM_STATE:
-        return singleton(BitString.random(register.bit_len, rng))
-    return BitString.random(register.bit_len, rng)
+        return r, None
+    return r, rng.getrandbits(bit_len)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +466,4 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
             "classical verification is defined only for two-branch seals"
         )
     x1, x2 = record.branches
-    return classical_verdict(x1, x2, mask)
-
-
-def classical_verdict(x1: BitString, x2: BitString, mask: BitString) -> bool:
-    """Core of alice_verify_classical: reads only the two branches."""
     return mask.dot(x1 ^ x2) == 0

@@ -138,25 +138,19 @@ def measure_computational(
     Returns the sampled string together with the post-measurement state,
     which is the matching basis state.  The input is not mutated.
     """
-    outcome = measure_outcome(state, rng)
+    outcome = measure_outcome(state, rng.random())
     return outcome, singleton(outcome)
 
 
-def measure_outcome(state: SparseState, rng: Random) -> BitString:
-    """The string measure_computational samples, from the same single draw,
-    without building the post-measurement state."""
-    r = rng.random()
+def measure_outcome(state: SparseState, r: float) -> BitString:
+    """The string measure_computational samples on its one draw
+    ``r = rng.random()``, without building the post-measurement state."""
     acc = 0.0
-    outcome = None
     for key, amp in state.terms.items():
         acc += amp * amp
         if r < acc:
-            outcome = key
-            break
-    if outcome is None:
-        # r landed in the normalization slack; take the last term.
-        outcome = next(reversed(state.terms))
-    return outcome
+            return key
+    return key  # r landed in the normalization slack: the last term
 
 
 def hadamard_measure(state: SparseState, rng: Random) -> BitString:
@@ -165,14 +159,16 @@ def hadamard_measure(state: SparseState, rng: Random) -> BitString:
     The outcome d appears with probability proportional to
     (sum_j amp_j * (-1)^(d.x_j))^2 over the state's terms x_j, which depends
     on d only through its syndrome: its parities against a basis of the
-    differences x_j xor x_1.  Each of the 2^r syndromes is weighed exactly
-    and has equally many preimages, so d is drawn uniformly (getrandbits) and
-    its pivot bits are flipped to match a syndrome drawn by weight (one
-    random() call, made only when more than one syndrome is possible).
+    differences x_j xor x_1, whose 2^r values have equally many preimages.
     Raises CapacityError when r exceeds MAX_SYNDROME_RANK.
     """
-    n = state.bit_len
-    pairs = [(key.value, amp) for key, amp in state.terms.items()]
+    table = syndrome_table([(key.value, amp) for key, amp in state.terms.items()])
+    return BitString(state.bit_len, hadamard_draw(state.bit_len, table, rng))
+
+
+def syndrome_table(pairs: list[tuple[int, float]]) -> tuple[list, list, list]:
+    """A reduced basis of the differences of the (value, amplitude) terms,
+    the pivot bits reps[s] of each syndrome s, and its exact relative weight."""
     # Reduced basis: each vector's pivot, its lowest set bit, is clear in
     # every other vector, so flipping one pivot of d flips one parity.  A
     # pivot never moves once added; reps[s] holds the pivot bits of syndrome s.
@@ -196,13 +192,20 @@ def hadamard_measure(state: SparseState, rng: Random) -> BitString:
         for value, amp in pairs:
             acc += -amp if (rep & value).bit_count() & 1 else amp
         weights.append(acc * acc)
-    d = rng.getrandbits(n)
+    return basis, reps, weights
+
+
+def hadamard_draw(bit_len: int, table: tuple[list, list, list], rng: Random) -> int:
+    """d drawn uniformly (getrandbits), its pivot bits flipped to match a
+    syndrome drawn by weight (one random(), only if more than one is live)."""
+    basis, reps, weights = table
+    d = rng.getrandbits(bit_len)
     live = [s for s, w in enumerate(weights) if w > 0.0]
     drawn = live[0] if len(live) == 1 else rng.choices(range(len(reps)), weights)[0]
     observed = 0
     for i, vector in enumerate(basis):
         observed |= ((d & vector).bit_count() & 1) << i
-    return BitString(n, d ^ reps[observed ^ drawn])
+    return d ^ reps[observed ^ drawn]
 
 
 def helstrom_discriminate(

@@ -6,7 +6,7 @@ min(x, x xor s), so x and x xor s collide and nothing else does (up to
 SHA-256 collisions, which inputs at most half the 256-bit image width keep
 out of reach).
 
-One class, TcfOracle, models an instance.  Alice draws it with keygen,
+One class, TcfOracle, models an instance.  Alice wraps keygen's draws in it,
 computes her secret with its eval, and the seal package carries the same
 object, whose document holds the same three fields.  Canonicalization needs
 the shift, so the instance every party holds includes it: honest evaluation
@@ -50,32 +50,14 @@ class TcfParams:
             )
 
 
-def _check_instance(params: TcfParams, salt: bytes, shift: BitString) -> None:
-    if shift.bit_len != params.bit_len:
-        raise InvalidInputError("shift width must match params.bit_len")
-    if shift.value == 0:
-        raise InvalidInputError("shift must be nonzero")
-    if len(salt) != SALT_BYTES:
-        raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
-
-
-def _image(params: TcfParams, salt: bytes, shift: int, x: BitString) -> bytes:
-    if x.bit_len != params.bit_len:
-        raise InvalidInputError(
-            f"input width {x.bit_len} does not match instance width {params.bit_len}"
-        )
-    canonical = min(x.value, x.value ^ shift)
-    material = BitString(params.bit_len, canonical).encode()
-    return hashlib.sha256(_EVAL_PREFIX + salt + material).digest()
-
-
 @dataclass(frozen=True, slots=True)
 class TcfOracle:
     """One committed instance: its sizing, salt and shift, and its eval.
 
-    keygen draws it and the binary seal package carries it unchanged.  The
-    fields are public because the package document serializes them: an
-    instance the reader can evaluate is an instance the reader holds.
+    Alice builds it from keygen's draws, and the binary seal package carries
+    it unchanged.  The fields are public because the package document
+    serializes them: an instance the reader can evaluate is an instance the
+    reader holds.
     """
 
     params: TcfParams
@@ -83,37 +65,42 @@ class TcfOracle:
     shift: BitString  # trapdoor: x and x xor shift share an image
 
     def __post_init__(self) -> None:
-        _check_instance(self.params, self.salt, self.shift)
+        if self.shift.bit_len != self.params.bit_len:
+            raise InvalidInputError("shift width must match params.bit_len")
+        if self.shift.value == 0:
+            raise InvalidInputError("shift must be nonzero")
+        if len(self.salt) != SALT_BYTES:
+            raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
 
     def eval(self, x: BitString) -> bytes:
-        return _image(self.params, self.salt, self.shift.value, x)
+        width = self.params.bit_len
+        if x.bit_len != width:
+            raise InvalidInputError(
+                f"input width {x.bit_len} does not match instance width {width}"
+            )
+        canonical = min(x.value, x.value ^ self.shift.value)
+        material = BitString(width, canonical).encode()
+        return hashlib.sha256(_EVAL_PREFIX + self.salt + material).digest()
 
 
 @dataclass(frozen=True, slots=True)
-class TcfKeyPair:
+class TcfKeyPair(TcfOracle):
     """The same instance under an older name that no library path builds.
 
     It stays only because the benchmark patches ``TcfKeyPair.eval`` by name,
     and goes with the benchmark change that stops doing so.
     """
 
-    params: TcfParams
-    salt: bytes
-    shift: BitString
-
-    def __post_init__(self) -> None:
-        _check_instance(self.params, self.salt, self.shift)
-
-    def eval(self, x: BitString) -> bytes:
-        return _image(self.params, self.salt, self.shift.value, x)
+    eval = TcfOracle.eval
 
 
-def keygen(params: TcfParams, rng: Random) -> TcfOracle:
+def keygen(params: TcfParams, rng: Random) -> tuple[bytes, int]:
+    """Draw a fresh instance's salt and nonzero ``params.bit_len``-bit shift."""
     salt = rng.getrandbits(8 * SALT_BYTES).to_bytes(SALT_BYTES, "big")
-    shift_value = 0
-    while shift_value == 0:
-        shift_value = rng.getrandbits(params.bit_len)
-    return TcfOracle(params, salt, BitString(params.bit_len, shift_value))
+    shift = 0
+    while shift == 0:
+        shift = rng.getrandbits(params.bit_len)
+    return salt, shift
 
 
 def sample_claw(

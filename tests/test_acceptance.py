@@ -38,7 +38,7 @@ from qseal.seal import (
     bob_open,
 )
 from qseal.sparsestate import hadamard_measure, uniform_superposition
-from qseal.tcf import TcfParams, keygen
+from qseal.tcf import TcfOracle, TcfParams, keygen
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -179,7 +179,9 @@ def test_08_images_are_exactly_two_to_one():
     ok = True
     detail = []
     for bit_len in (4, 8, 12):
-        pair = keygen(TcfParams(bit_len), random.Random(bit_len))
+        params = TcfParams(bit_len)
+        salt, shift = keygen(params, random.Random(bit_len))
+        pair = TcfOracle(params, salt, BitString(bit_len, shift))
         buckets: dict[bytes, list[int]] = {}
         for value in range(2 ** bit_len):
             buckets.setdefault(pair.eval(BitString(bit_len, value)), []).append(value)

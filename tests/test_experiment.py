@@ -25,6 +25,7 @@ from qseal.experiment import (
     NARY_SECRET_BYTES,
     EstimateReport,
     TrialConfig,
+    _class_table,
     _run_one,
     _spawned_rng,
     curve_csv,
@@ -51,7 +52,12 @@ from qseal.seal import (
     bob_respond,
     branch_count,
 )
-from qseal.sparsestate import SparseState, singleton, uniform_superposition
+from qseal.sparsestate import (
+    SparseState,
+    singleton,
+    syndrome_table,
+    uniform_superposition,
+)
 from qseal.symcrypto import Ciphertext
 from qseal.tcf import TcfOracle, TcfParams
 
@@ -354,21 +360,87 @@ class TestExactRates:
             assert abs(success - 0.75) <= 1e-12, (register, success)
 
     def test_a_collapsed_branch_has_one_probability_per_k_and_method(self):
-        found: dict[tuple[int, VerifyMethod], set[str]] = {}
+        """Also a string outside the register: each class's probability is
+        the one float the trial kernel's class table holds."""
+        found: dict[tuple[int, VerifyMethod, int], set[str]] = {}
         for mode in self.MODES:
             k = branch_count(mode)
             for bit_len in (16, 64):
                 for register in self.registers(mode, bit_len):
+                    used = {branch.value for branch in register.branches}
+                    spare = (min(set(range(k + 1)) - used), (1 << bit_len) - 1)
+                    classes = {
+                        1: register.branches,
+                        2: [BitString(bit_len, v) for v in spare if v not in used],
+                    }
                     for method in VerifyMethod:
-                        found.setdefault((k, method), set()).update(
-                            acceptance_probability(
-                                register, singleton(branch), method
-                            ).hex()
-                            for branch in register.branches
-                        )
-        assert len(found) == 63 * len(VerifyMethod)
+                        table = _class_table(k, bit_len, method)
+                        for case, strings in classes.items():
+                            hexes = found.setdefault((k, method, case), set())
+                            hexes.add(table[case].hex())
+                            hexes.update(
+                                acceptance_probability(
+                                    register, singleton(string), method
+                                ).hex()
+                                for string in strings
+                            )
+        assert len(found) == 63 * len(VerifyMethod) * 2
         spread = {key: hexes for key, hexes in found.items() if len(hexes) != 1}
         assert spread == {}
+
+    @pytest.mark.parametrize("bit_len", [2, 3, 16, 64])
+    def test_honest_masks_are_accepted_with_total_syndrome_weight_one(self, bit_len):
+        """Every Hadamard outcome of a two-branch register with nonzero
+        weight passes alice_verify_classical, exactly.  The trial kernel's
+        table of unit amplitudes, in either branch order, draws the same
+        masks."""
+        modes = [BinaryTcf()] if bit_len == 2 else [BinaryTcf(), NarySymmetric(2)]
+        for mode in modes:
+            for register in self.registers(mode, bit_len):
+                x1, x2 = register.branches
+                record = AliceSecret(
+                    mode,
+                    b"exact",
+                    (x1, x2),
+                    x1 ^ x2 if isinstance(mode, BinaryTcf) else None,
+                    register,
+                )
+                basis, reps, weights = syndrome_table(
+                    [(key.value, amp) for key, amp in register.terms.items()]
+                )
+                for order in ((x1, x2), (x2, x1)):
+                    unit = syndrome_table([(branch.value, 1.0) for branch in order])
+                    assert unit[:2] == (basis, reps)
+                    assert [w > 0.0 for w in unit[2]] == [w > 0.0 for w in weights]
+                accepted = sum(
+                    weight
+                    for rep, weight in zip(reps, weights)
+                    if alice_verify_classical(record, BitString(bit_len, rep))
+                )
+                assert accepted / sum(weights) == 1.0, register
+
+    @pytest.mark.parametrize("bit_len", range(2, 9))
+    def test_a_guessed_mask_passes_exactly_half_the_masks(self, bit_len):
+        """For every nonzero branch difference, 2^(n-1) of the 2^n masks
+        pass, so a uniformly guessed mask is accepted at theory_rate."""
+        guess = config(
+            bit_len=bit_len,
+            strategy=CheatStrategy.MEASURE_GUESS_MASK,
+            return_kind=ReturnKind.CLASSICAL,
+            verify_method=None,
+        )
+        x1 = BitString(bit_len, 0)
+        for diff in range(1, 1 << bit_len):
+            x2 = BitString(bit_len, diff)
+            record = AliceSecret(
+                BinaryTcf(), b"exact", (x1, x2), x2, uniform_superposition((x1, x2))
+            )
+            passed = sum(
+                alice_verify_classical(record, BitString(bit_len, mask))
+                for mask in range(1 << bit_len)
+            )
+            assert passed == 1 << (bit_len - 1), diff
+            assert math.ldexp(passed, -bit_len) == theory_rate(guess)
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +577,38 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# the trial kernel: the public path's verdicts from the register alone
+# the trial kernel: the public path's verdicts from branch values and a class table
 # ---------------------------------------------------------------------------
 
-EQUIVALENCE_CONFIGS = valid_configs(
-    [BinaryTcf(), NarySymmetric(2), NarySymmetric(8), NarySymmetric(64)],
-    (16, 64),
-    trials=300,
+# At 3 and 5 bits a random-state string lands in the register about one
+# trial in four, so the in-support class is exercised; at 16 and 64 bits
+# it almost never is.
+COLLISION_CONFIGS = valid_configs(
+    [BinaryTcf(), NarySymmetric(2)], (3,), trials=300
+) + valid_configs([NarySymmetric(8)], (5,), trials=300)
+EQUIVALENCE_CONFIGS = (
+    valid_configs(
+        [BinaryTcf(), NarySymmetric(2), NarySymmetric(8), NarySymmetric(64)],
+        (16, 64),
+        trials=300,
+    )
+    + COLLISION_CONFIGS
 )
+
+
+def run_state(cfg: TrialConfig):
+    """The per-run arguments run_trials passes _run_one for ``cfg``."""
+    params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
+    if cfg.verify_method is None:
+        return params, None
+    return params, _class_table(branch_count(cfg.mode), cfg.bit_len, cfg.verify_method)
 
 
 class TestTrialKernel:
     def test_every_valid_combination_is_covered(self):
         # Per mode and width: 6 quantum combinations, plus 2 classical ones
         # (honest and measure-guess-d) for the two-branch modes.
-        assert len(EQUIVALENCE_CONFIGS) == 2 * (8 + 8 + 6 + 6)
+        assert len(EQUIVALENCE_CONFIGS) == 2 * (8 + 8 + 6 + 6) + (8 + 8 + 6)
         classical_k2 = {
             (cfg.bit_len, cfg.strategy)
             for cfg in EQUIVALENCE_CONFIGS
@@ -527,21 +616,45 @@ class TestTrialKernel:
         }
         assert classical_k2 == {
             (bit_len, strategy)
-            for bit_len in (16, 64)
+            for bit_len in (3, 16, 64)
             for strategy in (CheatStrategy.HONEST, CheatStrategy.MEASURE_GUESS_MASK)
         }
 
     @pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=config_id)
     def test_verdicts_and_stream_match_the_public_roles(self, cfg):
-        params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
+        params, table = run_state(cfg)
         for index in range(cfg.trials):
             rng = _spawned_rng(cfg.seed, "trial", index)
-            accepted = _run_one(cfg, rng, params)
+            accepted = _run_one(cfg, rng, params, table)
             expected, public_rng = public_round(cfg, index)
             event = (not accepted) if cfg.statistic == "detection" else accepted
             assert event == expected, index
             # Both left the trial's stream at the same place.
             assert rng.getrandbits(64) == public_rng.getrandbits(64), index
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            cfg
+            for cfg in COLLISION_CONFIGS
+            if cfg.strategy is CheatStrategy.MEASURE_RANDOM_STATE
+        ],
+        ids=config_id,
+    )
+    def test_small_widths_hit_the_in_support_class(self, cfg):
+        """The public roles return a string inside the register in at least
+        10 of the 300 trials, so the kernel's in-support class is compared."""
+        hits = 0
+        for index in range(cfg.trials):
+            rng = _spawned_rng(cfg.seed, "trial", index)
+            if isinstance(cfg.mode, BinaryTcf):
+                package, record = alice_seal_binary(TcfParams(cfg.bit_len), rng)
+            else:
+                rng.getrandbits(8 * NARY_SECRET_BYTES)
+                package, record = alice_seal_nary(cfg.mode.k, b"s", cfg.bit_len, rng)
+            message = bob_respond(package, cfg.strategy, cfg.return_kind, rng)
+            hits += message.state.branches[0] in record.branches
+        assert hits >= 10
 
     @pytest.mark.parametrize(
         "mode",
@@ -550,8 +663,8 @@ class TestTrialKernel:
     )
     def test_a_run_hashes_once_and_builds_no_seal_objects(self, monkeypatch, mode):
         """The one SHA-256 call per run is its stream prefix; trials copy it.
-        No ciphertext, claw image, package or record is built, and a binary
-        trial builds exactly the one instance it draws."""
+        No ciphertext, claw image, package, record or function instance is
+        built."""
         hashes = 0
         real_sha256 = hashlib.sha256
 
@@ -583,29 +696,28 @@ class TestTrialKernel:
             real_check(self)
 
         monkeypatch.setattr(TcfOracle, "__post_init__", counting_check)
-        per_trial = 1 if isinstance(mode, BinaryTcf) else 0
         for cfg in valid_configs([mode], (16,), trials=20):
             instances = 0
             run_trials(cfg)
-            assert instances == per_trial * cfg.trials, config_id(cfg)
+            assert instances == 0, config_id(cfg)
 
     @pytest.mark.parametrize(
-        "strategy, kind, method, states",
+        "strategy, kind, method",
         [
-            ("honest", "quantum", "projective", 1),
-            ("honest", "classical", None, 1),
-            ("measure-keep", "quantum", "projective", 2),
-            ("measure-keep", "quantum", "helstrom", 2),
-            ("measure-random-state", "quantum", "projective", 2),
-            ("measure-random-state", "quantum", "helstrom", 2),
-            ("measure-guess-d", "classical", None, 1),
+            ("honest", "quantum", "projective"),
+            ("honest", "classical", None),
+            ("measure-keep", "quantum", "projective"),
+            ("measure-keep", "quantum", "helstrom"),
+            ("measure-random-state", "quantum", "projective"),
+            ("measure-random-state", "quantum", "helstrom"),
+            ("measure-guess-d", "classical", None),
         ],
     )
-    def test_a_binary_trial_builds_only_the_states_it_returns(
-        self, monkeypatch, strategy, kind, method, states
+    def test_a_binary_trial_builds_no_states(
+        self, monkeypatch, strategy, kind, method
     ):
-        """The register, plus the returned basis state where there is one;
-        a collapse that no return carries is never built."""
+        """Only the run's class table builds states, so 50 and 500 trials
+        build the same number."""
         built = 0
         real_check = SparseState.__post_init__
 
@@ -615,14 +727,19 @@ class TestTrialKernel:
             real_check(self)
 
         monkeypatch.setattr(SparseState, "__post_init__", counting_check)
-        cfg = config(
-            strategy=CheatStrategy(strategy),
-            return_kind=ReturnKind(kind),
-            verify_method=None if method is None else VerifyMethod(method),
-            trials=50,
-        )
-        run_trials(cfg)
-        assert built == states * cfg.trials
+        counts = []
+        for trials in (50, 500):
+            built = 0
+            run_trials(
+                config(
+                    strategy=CheatStrategy(strategy),
+                    return_kind=ReturnKind(kind),
+                    verify_method=None if method is None else VerifyMethod(method),
+                    trials=trials,
+                )
+            )
+            counts.append(built)
+        assert counts[0] == counts[1]
 
     @pytest.fixture
     def verdict_calls(self, monkeypatch) -> dict[str, int]:
@@ -644,28 +761,26 @@ class TestTrialKernel:
         monkeypatch.setattr(seal, "inner_product", counted_inner)
         return calls
 
-    def test_a_helstrom_verdict_tests_closeness_once_and_takes_two_overlaps(
+    def test_helstrom_verdicts_test_closeness_and_overlaps_once_per_run(
         self, verdict_calls
     ):
+        """The class table tests each class's return once: three closeness
+        tests, and two overlaps for each return that is not the register."""
         for mode in (BinaryTcf(), NarySymmetric(8)):
-            # A kept branch never equals the register: every verdict is a test.
-            cfg = config(mode=mode, trials=50)
-            verdict_calls.update(isclose=0, inner_product=0)
-            run_trials(cfg)
-            assert verdict_calls == {
-                "isclose": cfg.trials,
-                "inner_product": 2 * cfg.trials,
-            }
+            for trials in (50, 500):
+                verdict_calls.update(isclose=0, inner_product=0)
+                run_trials(config(mode=mode, trials=trials))
+                assert verdict_calls == {"isclose": 3, "inner_product": 4}
 
-    def test_a_mixture_verdict_tests_closeness_once_and_takes_one_overlap(
+    def test_mixture_verdicts_test_closeness_and_overlaps_once_per_run(
         self, verdict_calls
     ):
-        """An honest trial is accepted on closeness alone; a cheat's verdict
-        takes one overlap."""
-        trials = 200
-        mixture_diagnostic(16, trials, seed=4)
-        assert verdict_calls["isclose"] == trials
-        assert 0 < verdict_calls["inner_product"] < trials  # one per cheat
+        """Projective: one overlap for each class return that is not the
+        register."""
+        for trials in (200, 2_000):
+            verdict_calls.update(isclose=0, inner_product=0)
+            mixture_diagnostic(16, trials, seed=4)
+            assert verdict_calls == {"isclose": 3, "inner_product": 2}
 
 
 class TestStreamPrefix:
