@@ -30,16 +30,12 @@ class Ciphertext:
 
 
 def key_tag(key: BitString) -> bytes:
-    return _tag(key.encode())
+    return hashlib.sha256(_TAG_PREFIX + key.encode()).digest()[:TAG_BYTES]
 
 
-def _tag(encoded_key: bytes) -> bytes:
-    return hashlib.sha256(_TAG_PREFIX + encoded_key).digest()[:TAG_BYTES]
-
-
-def _xor_keystream(encoded_key: bytes, data: bytes) -> bytes:
-    """``data`` XOR the SHA-256 counter keystream of the encoded key."""
-    material = _STREAM_PREFIX + encoded_key
+def _xor_keystream(key: BitString, data: bytes) -> bytes:
+    """``data`` XOR the SHA-256 counter keystream of the key."""
+    material = _STREAM_PREFIX + key.encode()
     length = len(data)
     stream = b"".join([
         hashlib.sha256(material + counter.to_bytes(8, "big")).digest()
@@ -50,14 +46,12 @@ def _xor_keystream(encoded_key: bytes, data: bytes) -> bytes:
 
 
 def enc(key: BitString, message: bytes) -> Ciphertext:
-    encoded_key = key.encode()
-    return Ciphertext(_tag(encoded_key), _xor_keystream(encoded_key, message))
+    return Ciphertext(key_tag(key), _xor_keystream(key, message))
 
 
 def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:
     """Decrypt the single ciphertext in the batch tagged for this key."""
-    encoded_key = key.encode()
-    tag = _tag(encoded_key)
+    tag = key_tag(key)
     matches = [ct for ct in ciphertexts if ct.key_tag == tag]
     if not matches:
         raise TagNotFoundError("no ciphertext carries this key's tag")
@@ -65,4 +59,4 @@ def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:
         raise AmbiguousTagError(
             f"{len(matches)} ciphertexts carry the same key tag"
         )
-    return _xor_keystream(encoded_key, matches[0].body)
+    return _xor_keystream(key, matches[0].body)

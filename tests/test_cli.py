@@ -1,6 +1,7 @@
 """End-to-end CLI flows, exit codes, and byte-level determinism.
 
-All invocations run in-process through main(argv).  Exit contract:
+Invocations run in-process through main(argv), except one that runs
+``python -m qseal.cli`` in a fresh interpreter.  Exit contract:
 0 success/accept, 1 verify reject, 2 usage, 3 bad documents or IO.
 """
 
@@ -9,6 +10,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -20,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 from qseal.cli import COMMANDS, build_parser, main
 from qseal.documents import parse_document, KIND_SECRET
 from qseal.seal import MAX_BIT_LEN, CheatStrategy, ReturnKind, VerifyMethod
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv: str) -> int:
@@ -892,6 +898,32 @@ class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 2
         capsys.readouterr()
+
+    def test_module_entry_point_exits_with_mains_status(self, tmp_path):
+        """``python -m qseal.cli`` runs console_entry, the console script's
+        target, in a fresh interpreter: its exit status is main's, and a
+        bad document ends in an error line, not a traceback."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+
+        def entry(*argv: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "qseal.cli", *argv],
+                env=env,
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+            )
+
+        shown = entry("--help")
+        assert shown.returncode == 0 and shown.stdout.startswith("usage: qseal ")
+        unknown = entry("frobnicate")
+        assert unknown.returncode == 2
+        assert "invalid choice: 'frobnicate'" in unknown.stderr
+        missing = entry("open", "--package", "missing.json")
+        assert missing.returncode == 3 and missing.stdout == ""
+        assert missing.stderr.startswith("error: ") and "missing.json" in missing.stderr
+        for result in (shown, unknown, missing):
+            assert "Traceback" not in result.stderr
 
     def test_open_builds_two_parsers_and_other_argv_build_seven(
         self, binary_files, monkeypatch, capsys

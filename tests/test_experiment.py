@@ -701,45 +701,48 @@ class TestTrialKernel:
             run_trials(cfg)
             assert instances == 0, config_id(cfg)
 
-    @pytest.mark.parametrize(
-        "strategy, kind, method",
-        [
-            ("honest", "quantum", "projective"),
-            ("honest", "classical", None),
-            ("measure-keep", "quantum", "projective"),
-            ("measure-keep", "quantum", "helstrom"),
-            ("measure-random-state", "quantum", "projective"),
-            ("measure-random-state", "quantum", "helstrom"),
-            ("measure-guess-d", "classical", None),
-        ],
-    )
-    def test_a_binary_trial_builds_no_states(
-        self, monkeypatch, strategy, kind, method
-    ):
-        """Only the run's class table builds states, so 50 and 500 trials
-        build the same number."""
-        built = 0
-        real_check = SparseState.__post_init__
+    @pytest.mark.parametrize("run", ["binary", "k2", "k8", "k32", "mixture", "curve"])
+    def test_trials_build_no_states_or_bit_strings(self, monkeypatch, run):
+        """Only a run's setup and class table build states and bit strings,
+        so 50 and 500 trials build the same number of each: every valid
+        config of each mode, the mixture diagnostic and a k <= 8 curve."""
+        built = {SparseState: 0, BitString: 0}
 
-        def counting_check(self):
-            nonlocal built
-            built += 1
-            real_check(self)
+        def counting(cls):
+            real_check = cls.__post_init__
 
-        monkeypatch.setattr(SparseState, "__post_init__", counting_check)
-        counts = []
-        for trials in (50, 500):
-            built = 0
-            run_trials(
-                config(
-                    strategy=CheatStrategy(strategy),
-                    return_kind=ReturnKind(kind),
-                    verify_method=None if method is None else VerifyMethod(method),
-                    trials=trials,
+            def counting_check(self):
+                built[cls] += 1
+                real_check(self)
+
+            return counting_check
+
+        for cls in built:
+            monkeypatch.setattr(cls, "__post_init__", counting(cls))
+        if run == "mixture":
+            runs = {run: lambda trials: mixture_diagnostic(16, trials, seed=4)}
+        elif run == "curve":
+            runs = {run: lambda trials: fig1_curve(8, trials)}
+        else:
+            mode = BinaryTcf() if run == "binary" else NarySymmetric(int(run[1:]))
+            runs = {
+                config_id(cfg): lambda trials, cfg=cfg: run_trials(
+                    replace(cfg, trials=trials)
                 )
-            )
-            counts.append(built)
-        assert counts[0] == counts[1]
+                for cfg in valid_configs([mode], (16,), trials=50)
+            }
+        totals = dict.fromkeys(built, 0)
+        for name, execute in runs.items():
+            counts = []
+            for trials in (50, 500):
+                built.update(dict.fromkeys(built, 0))
+                execute(trials)
+                counts.append(dict(built))
+            assert counts[0] == counts[1], name
+            for cls in totals:
+                totals[cls] += counts[0][cls]
+        # The counters see the class tables' constructions.
+        assert all(totals.values()), totals
 
     @pytest.fixture
     def verdict_calls(self, monkeypatch) -> dict[str, int]:

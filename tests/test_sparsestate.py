@@ -141,7 +141,7 @@ class TestConstruction:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_canonical_order_whatever_the_input_order(self, data):
         """Sorted, reversed, shuffled and read-only inputs build one state, and
-        both construction paths (already in order, needs sorting) validate."""
+        inputs in value order or out of it are validated alike."""
         bit_len = data.draw(st.integers(min_value=1, max_value=10), label="bit_len")
         values = data.draw(
             st.lists(
