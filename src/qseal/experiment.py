@@ -6,12 +6,13 @@ BitString, SparseState or TcfOracle.  A quantum verdict is one random() below
 the acceptance probability of the return's class (the register, a string in
 it, a string outside it), one float per class for the run's k and width,
 which the run reads from a table.  A classical verdict is the parity of the
-mask against the branch difference.  Trials get their own random.Random
-seeded by hashing the master seed with the trial index, so results are
-reproducible bit-for-bit and independent of how trials are scheduled.  Every
-run is serial, in the calling thread.  A run hashes the (seed, label) prefix
-once and extends a copy of it by each trial's index, which gives each trial
-exactly the stream _spawned_rng(seed, label, index) derives on its own.
+mask against the branch difference.  Each trial's stream is seeded by
+hashing the master seed with the trial index, so results are reproducible
+bit-for-bit and independent of how trials are scheduled.  Every run is
+serial, in the calling thread.  A run hashes the (seed, label) prefix once,
+extends a copy of it by each trial's index, and reseeds one random.Random of
+its own with the result, which gives each trial exactly the stream
+_spawned_rng(seed, label, index) derives on its own.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from random import Random
 
@@ -149,8 +151,8 @@ def _report(
 def _stream_hash(master_seed: int, label: str) -> hashlib._Hash:
     """SHA-256 state over a signed 64-bit master seed and a stream label.
 
-    _branch_rng extends it by an index into one stream; a run hashes its
-    (seed, label) prefix once and branches it per trial.
+    _stream_seed extends it by an index into one stream's seed; a run hashes
+    its (seed, label) prefix once and branches it per trial.
     """
     try:
         h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
@@ -163,17 +165,30 @@ def _stream_hash(master_seed: int, label: str) -> hashlib._Hash:
     return h
 
 
-def _branch_rng(prefix: hashlib._Hash, index: int) -> Random:
-    """The stream of ``prefix`` extended by ``index``; ``prefix`` is not changed."""
+def _stream_seed(prefix: hashlib._Hash, index: int) -> int:
+    """The seed of ``prefix`` extended by ``index``; ``prefix`` is not changed."""
     h = prefix.copy()
     h.update(b"i" + struct.pack(">q", index))
-    return Random(int.from_bytes(h.digest()[:8], "big"))
+    return int.from_bytes(h.digest()[:8], "big")
 
 
 def _spawned_rng(master_seed: int, label: str, index: int) -> Random:
     """Independent stream derived from a signed 64-bit master seed, a label
     and an index."""
-    return _branch_rng(_stream_hash(master_seed, label), index)
+    return Random(_stream_seed(_stream_hash(master_seed, label), index))
+
+
+def _trial_streams(prefix: hashlib._Hash, trials: int) -> Iterator[Random]:
+    """Trial i's stream for i in range(trials), in one generator reseeded in
+    place: a trial must be done with it before the next is drawn."""
+    rng = Random(_stream_seed(prefix, 0))
+    # The C-level seed: for an int seed it is all Random.seed does besides
+    # clearing gauss_next, which no trial sets.
+    reseed = super(Random, rng).seed
+    for index in range(trials):
+        if index:
+            reseed(_stream_seed(prefix, index))
+        yield rng
 
 
 def theory_rate(config: TrialConfig) -> float:
@@ -236,17 +251,18 @@ def run_trials(config: TrialConfig) -> EstimateReport:
     """Estimate the configured statistic over config.trials rounds, serially.
 
     Round i runs on the stream _spawned_rng(config.seed, "trial", i), taken
-    from one hash of the (seed, "trial") prefix per run.  Each round's
-    verdict is that of sealing, responding and verifying through the public
-    roles on that stream.
+    from one hash of the (seed, "trial") prefix per run and put into the
+    run's one generator by reseeding it.  Each round's verdict is that of
+    sealing, responding and verifying through the public roles on that
+    stream.
     """
     k, method = branch_count(config.mode), config.verify_method
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
     table = None if method is None else _class_table(k, config.bit_len, method)
     prefix = _stream_hash(config.seed, "trial")
     accepted = sum(
-        _run_one(config, _branch_rng(prefix, index), params, table)
-        for index in range(config.trials)
+        _run_one(config, rng, params, table)
+        for rng in _trial_streams(prefix, config.trials)
     )
     statistic = config.statistic
     successes = config.trials - accepted if statistic == "detection" else accepted
@@ -320,8 +336,7 @@ def mixture_diagnostic(
     prefix = _stream_hash(seed, "mixture")
     p_honest, p_kept, _ = _class_table(2, bit_len, VerifyMethod.PROJECTIVE)
     successes = 0
-    for index in range(trials):
-        rng = _branch_rng(prefix, index)
+    for rng in _trial_streams(prefix, trials):
         draw_branches(2, bit_len, rng)
         honest = rng.random() < 0.5
         # An honest quantum return is the register itself and draws nothing.

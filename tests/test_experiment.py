@@ -9,7 +9,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 import re
+import sys
 import threading
 from dataclasses import replace
 from random import Random
@@ -785,10 +787,48 @@ class TestTrialKernel:
             mixture_diagnostic(16, trials, seed=4)
             assert verdict_calls == {"isclose": 3, "inner_product": 2}
 
+    def test_runs_in_four_threads_match_serial_runs(self):
+        """Runs interleaved with each other's trials give the serial
+        reports: each run's generator is its own.  No run draws from or
+        reseeds the global generator."""
+        jobs = [
+            lambda: run_trials(config(trials=3_000, seed=21)),
+            lambda: run_trials(config(mode=NarySymmetric(8), trials=3_000, seed=22)),
+            lambda: mixture_diagnostic(16, 3_000, seed=23),
+            lambda: fig1_curve(6, 600, seed=24),
+        ]
+        global_state = random.getstate()
+        serial = [job() for job in jobs]
+        assert random.getstate() == global_state
+        start = threading.Barrier(len(jobs), timeout=60)
+        results: list[list] = [[] for _ in jobs]
+
+        def worker(slot: int) -> None:
+            start.wait()
+            results[slot] = [job() for job in jobs[slot:] + jobs[:slot]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial[i:] + serial[:i] for i in range(len(jobs))]
+        assert random.getstate() == global_state
+
 
 class TestStreamPrefix:
     """A run hashes its (seed, label) prefix once and derives each trial's
-    stream from a copy: exactly the stream _spawned_rng gives that trial."""
+    seed from a copy, then reseeds its one generator with it: exactly the
+    stream _spawned_rng gives that trial."""
 
     SEEDS = (0, -1, -(2**63), 2**63 - 1, 0x5EED_1E55_C0FF_EE15 - 2**63)
 
@@ -797,21 +837,24 @@ class TestStreamPrefix:
     def test_each_trial_gets_its_spawned_stream(self, monkeypatch, seed, label):
         trials = 1_000
         expected = [_spawned_rng(seed, label, i).getstate() for i in range(trials)]
-        paths, states = [], []
-        real_branch_rng = experiment._branch_rng
+        counts, generators, states = [], [], []
+        real_trial_streams = experiment._trial_streams
 
-        def recording_branch_rng(prefix, *path):
-            rng = real_branch_rng(prefix, *path)
-            paths.append(path)
-            states.append(rng.getstate())
-            return rng
+        def recording_trial_streams(prefix, count):
+            counts.append(count)
+            for rng in real_trial_streams(prefix, count):
+                generators.append(rng)
+                states.append(rng.getstate())
+                yield rng
 
-        monkeypatch.setattr(experiment, "_branch_rng", recording_branch_rng)
+        monkeypatch.setattr(experiment, "_trial_streams", recording_trial_streams)
         if label == "trial":
             run_trials(config(trials=trials, seed=seed))
         else:
             mixture_diagnostic(trials=trials, seed=seed)
-        assert paths == [(i,) for i in range(trials)]
+        assert counts == [trials]
+        # One generator per run, reseeded for every trial.
+        assert all(rng is generators[0] for rng in generators)
         # Equal generator states: every draw of the trial agrees.
         assert states == expected
 
@@ -820,7 +863,7 @@ class TestStreamPrefix:
         def refuse(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(experiment, "_branch_rng", refuse)
+        monkeypatch.setattr(experiment, "_trial_streams", refuse)
         message = re.escape(f"seed must be in [-2^63, 2^63), got {seed}")
         with pytest.raises(InvalidInputError, match=message):
             run_trials(config(trials=5, seed=seed))
@@ -1053,7 +1096,9 @@ class TestMixture:
                 return 1.0 - 2.0**-53
 
         monkeypatch.setattr(
-            experiment, "_branch_rng", lambda prefix, index: HonestThenTop(index)
+            experiment,
+            "_trial_streams",
+            lambda prefix, trials: map(HonestThenTop, range(trials)),
         )
         assert mixture_diagnostic(16, 50, seed=1).p_hat == 1.0
 
