@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -106,6 +107,8 @@ def _format_report(report: Any) -> str:
 
 
 def cmd_seal(args: argparse.Namespace) -> int:
+    if os.path.realpath(args.out_package) == os.path.realpath(args.out_secret):
+        raise CLIError("--out-package and --out-secret name the same file")
     rng = Random(args.seed)
     mode = _mode(args)
     if isinstance(mode, BinaryTcf):
@@ -119,7 +122,11 @@ def cmd_seal(args: argparse.Namespace) -> int:
             mode.k, _secret_bytes(args.secret), args.bits, rng
         )
     Path(args.out_package).write_text(documents.package_to_document(package))
-    Path(args.out_secret).write_text(documents.secret_to_document(record))
+    try:
+        Path(args.out_secret).write_text(documents.secret_to_document(record))
+    except OSError:  # leave no package without its record
+        Path(args.out_package).unlink(missing_ok=True)
+        raise
     return 0
 
 
@@ -321,47 +328,48 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``, which parses ``argv`` with the same result,
-    output and exit code as the parser with every subcommand's options.
-
-    When ``argv[0]`` names a subcommand, only that subcommand is built: the
-    top level hands every later token to it, so the top level can print
-    nothing but its usage line (with an "unrecognized arguments" error), and
-    an explicit metavar keeps that line listing every subcommand.  Any other
-    ``argv`` gets every subcommand.  All formatters of one build share one
-    terminal-width read, at the width argparse would pick.
-    """
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """``qseal <command>``'s own parser, with ``command`` and ``handler`` as
+    defaults; with ``None``, the top level and every subcommand.  A build
+    reads the terminal width once, for all its formatters, as argparse would."""
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
+    if command is not None:
+        _, handler, add_options = COMMANDS[command]
+        parser = argparse.ArgumentParser(
+            prog=f"qseal {command}", formatter_class=formatter
+        )
+        add_options(parser)
+        parser.set_defaults(handler=handler, command=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="qseal",
         description="Quantum seal protocol simulator: seal, open, and verify.",
         formatter_class=formatter,
     )
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    # The metavar would also rename the command in "required: command", so it
-    # is set only where the command is present.
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if only is None else "{%s}" % ",".join(COMMANDS),
-    )
-    for name in COMMANDS if only is None else [only]:
-        help_text, handler, add_options = COMMANDS[name]
-        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        add_options(command)
-        command.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_options) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        add_options(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """A command named first parses the rest itself, as the top level would;
+    the top level is built for any other argv or to reject leftover tokens."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
+    """Run one command line (default ``sys.argv[1:]``); return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

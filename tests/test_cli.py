@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qseal.cli import COMMANDS, build_parser, main
+from qseal.cli import COMMANDS, build_parser, main, parse_args
 from qseal.documents import parse_document, KIND_SECRET
 from qseal.seal import MAX_BIT_LEN, CheatStrategy, ReturnKind, VerifyMethod
 
@@ -149,6 +149,40 @@ class TestSealOpen:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "package, secret",
+        [("x.json", "./x.json"), ("x.json", "sub/../x.json"), ("x.json", "link.json")],
+    )
+    def test_one_path_for_both_outputs_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, package, secret
+    ):
+        """Two names for one file would let the record overwrite the
+        package; seal refuses before it draws or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "x.json")
+        drawn = []
+        monkeypatch.setattr("qseal.cli.Random", lambda seed: drawn.append(seed))
+        code = run(
+            "seal", "--mode", "nary", "--bits", "16", "--k", "4",
+            "--secret", "00ff", "--out-package", package, "--out-secret", secret,
+        )
+        assert code == 2
+        assert "same file" in capsys.readouterr().err
+        assert drawn == [] and not (tmp_path / "x.json").exists()
+
+    def test_failed_record_write_removes_the_package(self, tmp_path, capsys):
+        """A package is never left without its secret record."""
+        pkg = tmp_path / "p.json"
+        code = run(
+            "seal", "--mode", "binary", "--bits", "16",
+            "--out-package", str(pkg),
+            "--out-secret", str(tmp_path / "nonexist" / "s.json"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     @given(
         mode_k=st.one_of(
@@ -901,9 +935,10 @@ class TestParser:
 
     def test_module_entry_point_exits_with_mains_status(self, tmp_path):
         """``python -m qseal.cli`` runs console_entry, the console script's
-        target, in a fresh interpreter: its exit status is main's, and a
-        bad document ends in an error line, not a traceback."""
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+        target, in a fresh interpreter: its exit status is main's, a bad
+        document ends in an error line, not a traceback, and a command's
+        unparsed token is rejected under the top-level usage line."""
+        env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
 
         def entry(*argv: str) -> subprocess.CompletedProcess:
             return subprocess.run(
@@ -922,14 +957,21 @@ class TestParser:
         missing = entry("open", "--package", "missing.json")
         assert missing.returncode == 3 and missing.stdout == ""
         assert missing.stderr.startswith("error: ") and "missing.json" in missing.stderr
-        for result in (shown, unknown, missing):
+        extra = entry("open", "--package", "missing.json", "--bogus")
+        assert extra.returncode == 2 and extra.stdout == ""
+        assert extra.stderr == (
+            "usage: qseal [-h] {seal,open,respond,verify,simulate,curve} ...\n"
+            "qseal: error: unrecognized arguments: --bogus\n"
+        )
+        for result in (shown, unknown, missing, extra):
             assert "Traceback" not in result.stderr
 
-    def test_open_builds_two_parsers_and_other_argv_build_seven(
+    def test_open_builds_one_parser_and_other_argv_build_seven(
         self, binary_files, monkeypatch, capsys
     ):
-        """A command named first builds the top level and itself; any other
-        argv builds the top level and all six subcommands."""
+        """A command named first builds only its own parser; any other argv
+        builds the top level and all six subcommands, and so does a command
+        that leaves tokens unparsed, to reject them under the top level."""
         pkg, _ = binary_files
         built = []
         init = argparse.ArgumentParser.__init__
@@ -940,17 +982,20 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert run("open", "--package", str(pkg)) == 0
-        assert len(built) == 2, built
+        assert built == ["qseal open"]
         for argv in (["--help"], [], ["frobnicate"], ["--bogus", "open", "x"]):
             built.clear()
             run(*argv)
             assert len(built) == 1 + len(COMMANDS) == 7, (argv, built)
+        built.clear()
+        assert run("open", "--package", str(pkg), "--bogus") == 2
+        assert built[0] == "qseal open" and len(built) == 1 + 7, built
         capsys.readouterr()
 
     def test_open_adds_only_its_own_options(self, binary_files, monkeypatch, capsys):
-        """One `open` adds one -h per parser (the top level and open) and
-        open's two options: 4 add_argument calls, where building every
-        subcommand's options makes 41."""
+        """One `open` adds its parser's -h and open's two options: 3
+        add_argument calls, where building every subcommand's options makes
+        41."""
         pkg, _ = binary_files
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
@@ -962,7 +1007,10 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
         assert run("open", "--package", str(pkg)) == 0
         capsys.readouterr()
-        assert len(calls) == 4, calls
+        assert len(calls) == 3, calls
+        calls.clear()
+        _full_parser()
+        assert len(calls) == 41, len(calls)
 
     @given(
         argv=st.lists(
@@ -979,44 +1027,33 @@ class TestParser:
                 "binary", "nary", "honest", "measure-keep", "quantum",
                 "classical", "helstrom", "projective", "16", "3", "0", "x",
                 # stray tokens
-                "-1", "--bogus", "--", "-", "-x",
+                "-1", "--bogus", "--", "-", "-x", "-hx", "--he", "--=x",
+                "-1x", "--mod=binary", "-k",
             ]),
             max_size=8,
         )
     )
     @settings(max_examples=400, derandomize=True, deadline=None)
-    def test_parser_for_argv_parses_like_the_full_parser(self, argv):
-        """build_parser(argv) gives the namespace, or the exit code, stdout
-        and stderr, that the parser with every command's options gives."""
-        reference = _full_parser()
+    def test_main_parses_argv_like_the_full_parser(self, argv):
+        """parse_args, main's parse path, gives the namespace, or the exit
+        code, stdout and stderr, that the parser with every command's
+        options gives."""
 
-        def parse(parser):
+        def parse(parse_argv):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 try:
-                    result = parser.parse_args(argv)
+                    result = parse_argv(argv)
                 except SystemExit as exc:
                     result = exc.code
             return result, out.getvalue(), err.getvalue()
 
-        assert parse(build_parser(argv)) == parse(reference)
+        assert parse(parse_args) == parse(_full_parser().parse_args)
 
 
 def _full_parser() -> argparse.ArgumentParser:
-    """build_parser's top level with all six subcommands, each with its
-    options and handler, whatever argv would name."""
-    top = build_parser([])
-    parser = argparse.ArgumentParser(
-        prog=top.prog,
-        description=top.description,
-        formatter_class=top.formatter_class,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, add_options) in COMMANDS.items():
-        command = sub.add_parser(
-            name, help=help_text, formatter_class=top.formatter_class
-        )
-        add_options(command)
-        command.set_defaults(handler=handler)
-    assert list(sub.choices) == list(COMMANDS) and len(sub.choices) == 6
+    """build_parser's top level, which builds all six subcommands whatever
+    argv names: the parser argparse alone would parse argv with."""
+    parser = build_parser()
+    assert "{%s}" % ",".join(COMMANDS) in parser.format_usage()
     return parser
