@@ -8,16 +8,21 @@ the value fits a machine word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from random import Random
 
 from .errors import InvalidInputError
+from .value import Value, set_field
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class BitString:
-    bit_len: int
-    value: int
+@total_ordering
+class BitString(Value):
+    __slots__ = ("bit_len", "value")
+
+    def __init__(self, bit_len: int, value: int) -> None:
+        set_field(self, "bit_len", bit_len)
+        set_field(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bit_len < 1:
@@ -26,6 +31,21 @@ class BitString:
             raise InvalidInputError(
                 f"value {self.value:#x} does not fit in {self.bit_len} bits"
             )
+
+    # Value's comparisons, spelled out for the two fields: bit strings are
+    # built, compared and hashed on every protocol step.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.bit_len == other.bit_len and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.bit_len, self.value))
+
+    def __lt__(self, other: BitString) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.bit_len, self.value) < (other.bit_len, other.value)
+        return NotImplemented
 
     def __xor__(self, other: BitString) -> BitString:
         if other.bit_len != self.bit_len:

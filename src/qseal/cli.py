@@ -83,6 +83,24 @@ def _mode(args: argparse.Namespace) -> SealMode:
     return NarySymmetric(args.k)
 
 
+def _distinct(flag: str, path: str | None, other_flag: str, other: str | None) -> None:
+    """Refuse two paths to one file before anything is read or written, where
+    writing one would replace the other.  Two existing files are one when
+    os.path.samefile says so, two missing ones when their os.path.realpath
+    agree; an existing and a missing one never are.  A missing output beside
+    an existing input, as respond usually has, then costs two stat calls and
+    no realpath, which would walk every component of both paths."""
+    if path is None or other is None:
+        return
+    found = [os.path.exists(path), os.path.exists(other)]
+    if all(found):
+        same = os.path.samefile(path, other)
+    else:
+        same = not any(found) and os.path.realpath(path) == os.path.realpath(other)
+    if same:
+        raise CLIError(f"{flag} and {other_flag} name the same file")
+
+
 def _secret_bytes(text: str) -> bytes:
     try:
         value = bytes.fromhex(text)
@@ -107,8 +125,7 @@ def _format_report(report: Any) -> str:
 
 
 def cmd_seal(args: argparse.Namespace) -> int:
-    if os.path.realpath(args.out_package) == os.path.realpath(args.out_secret):
-        raise CLIError("--out-package and --out-secret name the same file")
+    _distinct("--out-package", args.out_package, "--out-secret", args.out_secret)
     rng = Random(args.seed)
     mode = _mode(args)
     if isinstance(mode, BinaryTcf):
@@ -139,6 +156,7 @@ def cmd_open(args: argparse.Namespace) -> int:
 
 
 def cmd_respond(args: argparse.Namespace) -> int:
+    _distinct("--package", args.package, "--out", args.out)
     package = _load(
         args.package, documents.KIND_PACKAGE, documents.package_from_payload
     )
@@ -202,6 +220,7 @@ _SIMULATE_DEFAULTS = {
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _distinct("--csv", args.csv, "--out-report", args.out_report)
     if args.mixture:
         for flag in _SIMULATE_DEFAULTS:
             if getattr(args, flag) is not None:

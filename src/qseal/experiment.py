@@ -23,7 +23,6 @@ import hashlib
 import math
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
 from random import Random
 
 from .bits import BitString
@@ -45,6 +44,7 @@ from .seal import (
 )
 from .sparsestate import hadamard_draw, singleton, syndrome_table, uniform_superposition
 from .tcf import TcfParams
+from .value import Value, set_field
 
 Z95 = 1.959963984540054
 
@@ -82,15 +82,24 @@ def theory_pcheck(k: int) -> float:
     return 0.5 + 0.5 * math.sqrt(1.0 - 1.0 / k)
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    mode: SealMode
-    bit_len: int
-    strategy: CheatStrategy
-    return_kind: ReturnKind
-    verify_method: VerifyMethod | None
-    trials: int
-    seed: int
+class TrialConfig(Value):
+    __slots__ = (
+        "mode", "bit_len", "strategy", "return_kind", "verify_method", "trials", "seed"
+    )
+
+    def __init__(
+        self, mode: SealMode, bit_len: int, strategy: CheatStrategy,
+        return_kind: ReturnKind, verify_method: VerifyMethod | None, trials: int,
+        seed: int,
+    ) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "bit_len", bit_len)
+        set_field(self, "strategy", strategy)
+        set_field(self, "return_kind", return_kind)
+        set_field(self, "verify_method", verify_method)
+        set_field(self, "trials", trials)
+        set_field(self, "seed", seed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -125,20 +134,25 @@ class TrialConfig:
         return "acceptance"
 
 
-@dataclass(frozen=True, slots=True)
-class EstimateReport:
+class EstimateReport(Value):
     """One rate estimate for a k-branch seal; one report is one CSV row.
 
     p_hat comes with its 95% Wilson interval; p_theory is the exact rate.
     """
 
-    statistic: str
-    k: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    trials: int
-    p_theory: float
+    __slots__ = ("statistic", "k", "p_hat", "ci_low", "ci_high", "trials", "p_theory")
+
+    def __init__(
+        self, statistic: str, k: int, p_hat: float, ci_low: float, ci_high: float,
+        trials: int, p_theory: float,
+    ) -> None:
+        set_field(self, "statistic", statistic)
+        set_field(self, "k", k)
+        set_field(self, "p_hat", p_hat)
+        set_field(self, "ci_low", ci_low)
+        set_field(self, "ci_high", ci_high)
+        set_field(self, "trials", trials)
+        set_field(self, "p_theory", p_theory)
 
 
 def _report(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from random import Random
@@ -42,6 +41,7 @@ from .sparsestate import (
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
 from .tcf import TcfOracle, TcfParams, keygen
+from .value import Value, set_field
 
 # Upper bound on superposition branches in n-ary mode.
 MAX_BRANCHES = 64
@@ -53,16 +53,20 @@ MAX_BRANCHES = 64
 MAX_BIT_LEN = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryTcf:
+class BinaryTcf(Value):
     """Two branches forming a claw of a committed 2-to-1 function."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class NarySymmetric:
+
+class NarySymmetric(Value):
     """k random branches, each keying a ciphertext of the secret."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        set_field(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 2 <= self.k <= MAX_BRANCHES:
@@ -135,8 +139,7 @@ def compatible(strategy: CheatStrategy, kind: ReturnKind) -> bool:
     return kind is ReturnKind.QUANTUM
 
 
-@dataclass(frozen=True)
-class SealPackage:
+class SealPackage(Value):
     """What Bob receives: the register plus the opening material.
 
     A binary package's register must be a claw of its function: the
@@ -148,11 +151,18 @@ class SealPackage:
     ciphertext's key tag.
     """
 
-    mode: SealMode
-    bit_len: int
-    register: SparseState
-    tcf: TcfOracle | None = None
-    ciphertexts: tuple[Ciphertext, ...] | None = None
+    __slots__ = ("mode", "bit_len", "register", "tcf", "ciphertexts")
+
+    def __init__(
+        self, mode: SealMode, bit_len: int, register: SparseState,
+        tcf: TcfOracle | None = None, ciphertexts: tuple[Ciphertext, ...] | None = None,
+    ) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "bit_len", bit_len)
+        set_field(self, "register", register)
+        set_field(self, "tcf", tcf)
+        set_field(self, "ciphertexts", ciphertexts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.register.bit_len != self.bit_len:
@@ -194,15 +204,21 @@ class SealPackage:
                     )
 
 
-@dataclass(frozen=True)
-class AliceSecret:
+class AliceSecret(Value):
     """Alice's retained record of one sealing."""
 
-    mode: SealMode
-    secret: bytes
-    branches: tuple[BitString, ...]
-    trapdoor: BitString | None
-    original_state: SparseState
+    __slots__ = ("mode", "secret", "branches", "trapdoor", "original_state")
+
+    def __init__(
+        self, mode: SealMode, secret: bytes, branches: tuple[BitString, ...],
+        trapdoor: BitString | None, original_state: SparseState,
+    ) -> None:
+        set_field(self, "mode", mode)
+        set_field(self, "secret", secret)
+        set_field(self, "branches", branches)
+        set_field(self, "trapdoor", trapdoor)
+        set_field(self, "original_state", original_state)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_register(self.mode, self.original_state)
@@ -220,14 +236,18 @@ class AliceSecret:
         return self.original_state.bit_len
 
 
-@dataclass(frozen=True, slots=True)
-class QuantumReturn:
-    state: SparseState
+class QuantumReturn(Value):
+    __slots__ = ("state",)
+
+    def __init__(self, state: SparseState) -> None:
+        set_field(self, "state", state)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalReturn:
-    mask: BitString
+class ClassicalReturn(Value):
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: BitString) -> None:
+        set_field(self, "mask", mask)
 
 
 ReturnMessage = QuantumReturn | ClassicalReturn

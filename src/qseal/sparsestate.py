@@ -13,13 +13,13 @@ sampling decision is reproducible from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bits import BitString
 from .errors import CapacityError, InvalidInputError
+from .value import Value, set_field
 
 # Tolerance for the sum of squared amplitudes.
 NORM_TOL = 1e-9
@@ -30,12 +30,15 @@ AMP_TOL = 1e-12
 MAX_SYNDROME_RANK = 20
 
 
-@dataclass(frozen=True, slots=True)
-class SparseState:
+class SparseState(Value):
     """Normalized sparse state.  Terms are read-only, sorted by basis string."""
 
-    bit_len: int
-    terms: Mapping[BitString, float]
+    __slots__ = ("bit_len", "terms")
+
+    def __init__(self, bit_len: int, terms: Mapping[BitString, float]) -> None:
+        set_field(self, "bit_len", bit_len)
+        set_field(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bit_len < 1:

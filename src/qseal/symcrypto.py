@@ -10,11 +10,11 @@ ciphertext to key reveals nothing beyond what the protocol already shares.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable
 
 from .bits import BitString
 from .errors import AmbiguousTagError, TagNotFoundError
+from .value import Value, set_field
 
 TAG_BYTES = 16
 
@@ -23,10 +23,12 @@ _STREAM_PREFIX = b"enc/"
 _BLOCK_BYTES = hashlib.sha256().digest_size
 
 
-@dataclass(frozen=True, slots=True)
-class Ciphertext:
-    key_tag: bytes
-    body: bytes
+class Ciphertext(Value):
+    __slots__ = ("key_tag", "body")
+
+    def __init__(self, key_tag: bytes, body: bytes) -> None:
+        set_field(self, "key_tag", key_tag)
+        set_field(self, "body", body)
 
 
 def key_tag(key: BitString) -> bytes:

@@ -25,11 +25,11 @@ difference equal to the shift, without computing an image.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from random import Random
 
 from .bits import BitString
 from .errors import InvalidInputError
+from .value import Value, set_field
 
 SALT_BYTES = 16
 IMAGE_BITS = 256
@@ -37,11 +37,14 @@ IMAGE_BITS = 256
 _EVAL_PREFIX = b"tcf/eval"
 
 
-@dataclass(frozen=True, slots=True)
-class TcfParams:
+class TcfParams(Value):
     """Instance sizing: the input width, at most half the image width."""
 
-    bit_len: int
+    __slots__ = ("bit_len",)
+
+    def __init__(self, bit_len: int) -> None:
+        set_field(self, "bit_len", bit_len)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 2 <= self.bit_len <= IMAGE_BITS // 2:
@@ -50,8 +53,7 @@ class TcfParams:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class TcfOracle:
+class TcfOracle(Value):
     """One committed instance: its sizing, salt and shift, and its eval.
 
     Alice builds it from keygen's draws, and the binary seal package carries
@@ -60,9 +62,14 @@ class TcfOracle:
     reader holds.
     """
 
-    params: TcfParams
-    salt: bytes
-    shift: BitString  # trapdoor: x and x xor shift share an image
+    # shift is the trapdoor: x and x xor shift share an image.
+    __slots__ = ("params", "salt", "shift")
+
+    def __init__(self, params: TcfParams, salt: bytes, shift: BitString) -> None:
+        set_field(self, "params", params)
+        set_field(self, "salt", salt)
+        set_field(self, "shift", shift)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.shift.bit_len != self.params.bit_len:
@@ -83,7 +90,6 @@ class TcfOracle:
         return hashlib.sha256(_EVAL_PREFIX + self.salt + material).digest()
 
 
-@dataclass(frozen=True, slots=True)
 class TcfKeyPair(TcfOracle):
     """The same instance under an older name that no library path builds.
 
@@ -91,6 +97,7 @@ class TcfKeyPair(TcfOracle):
     and goes with the benchmark change that stops doing so.
     """
 
+    __slots__ = ()
     eval = TcfOracle.eval
 
 

@@ -521,6 +521,54 @@ class TestRespondVerify:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize(
+        "out", ["p.json", "sub/../p.json", "link.json", "hard.json"]
+    )
+    def test_return_over_its_own_package_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        """Writing the return over the package would destroy the seal, by
+        any name: respond refuses before it reads or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "p.json")
+        assert run(
+            "seal", "--mode", "nary", "--bits", "16", "--k", "4",
+            "--secret", "00ff", "--out-package", "p.json", "--out-secret", "s.json",
+        ) == 0
+        (tmp_path / "hard.json").hardlink_to(tmp_path / "p.json")
+        sealed = (tmp_path / "p.json").read_bytes()
+        loaded = []
+        with monkeypatch.context() as patch:
+            patch.setattr("qseal.cli._load", lambda *args: loaded.append(args))
+            code = run(
+                "respond", "--package", "p.json", "--kind", "quantum", "--out", out
+            )
+        assert code == 2
+        assert "same file" in capsys.readouterr().err
+        assert loaded == []
+        assert (tmp_path / "p.json").read_bytes() == sealed
+        assert run("open", "--package", "p.json") == 0
+        assert capsys.readouterr().out == "00ff\n"
+
+    def test_new_return_file_resolves_no_path(
+        self, binary_files, tmp_path, monkeypatch
+    ):
+        """A missing --out beside an existing --package is another file, known
+        without os.path.realpath, which would stat every component of both."""
+        pkg, _ = binary_files
+
+        def refuse(path):
+            raise AssertionError(f"realpath({path!r})")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("qseal.cli.os.path.realpath", refuse)
+            code = run(
+                "respond", "--package", str(pkg), "--kind", "quantum",
+                "--out", str(tmp_path / "r.json"),
+            )
+        assert code == 0
+
     def test_sign_flipped_documents_are_integrity_errors(
         self, binary_files, tmp_path, capsys
     ):
@@ -629,6 +677,34 @@ class TestSimulate:
         payload = parse_document(out.read_text(), "report")
         assert payload["statistic"] == "acceptance"
         assert payload["p_hat"] == 1.0
+
+    @pytest.mark.parametrize(
+        "report, mixture",
+        [
+            ("r.txt", ()), ("sub/../r.txt", ()), ("link.txt", ()),
+            ("r.txt", ("--mixture",)),
+        ],
+        ids=["same", "dotdot", "symlink", "mixture"],
+    )
+    def test_one_path_for_csv_and_report_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, report, mixture
+    ):
+        """The report would replace the CSV; simulate refuses before it runs
+        a trial or writes anything."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to(tmp_path / "r.txt")
+        ran = []
+        for name in ("run_trials", "mixture_diagnostic"):
+            monkeypatch.setattr(f"qseal.cli.{name}", lambda *args: ran.append(args))
+        code = run(
+            "simulate", *mixture, "--trials", "100",
+            "--csv", "r.txt", "--out-report", report,
+        )
+        assert code == 2
+        assert "same file" in capsys.readouterr().err
+        assert ran == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "sub"]
 
     def test_mixture_flag(self, capsys):
         assert run("simulate", "--mixture", "--trials", "2000", "--seed", "5") == 0

@@ -13,7 +13,6 @@ import random
 import re
 import sys
 import threading
-from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -255,19 +254,24 @@ class TestTheoryRate:
     def test_random_state_rate_equals_the_exact_quotient(self):
         # Bit for bit what k / 2^n gives wherever 2^n is a float.
         for k in range(2, 65):
-            helstrom = config(
-                mode=NarySymmetric(k),
-                strategy=CheatStrategy.MEASURE_RANDOM_STATE,
-                bit_len=1023,
-            )
-            projective = replace(helstrom, verify_method=VerifyMethod.PROJECTIVE)
             for bit_len in range((4 * k - 1).bit_length(), 1024):
+                helstrom, projective = (
+                    config(
+                        mode=NarySymmetric(k),
+                        strategy=CheatStrategy.MEASURE_RANDOM_STATE,
+                        bit_len=bit_len,
+                        verify_method=method,
+                    )
+                    for method in (
+                        VerifyMethod.HELSTROM_PER_BRANCH, VerifyMethod.PROJECTIVE
+                    )
+                )
                 power = float(1 << bit_len)
                 collide = k / power
-                assert theory_rate(replace(helstrom, bit_len=bit_len)) == (
+                assert theory_rate(helstrom) == (
                     1.0 - collide * (1.0 - theory_pcheck(k))
                 ), (k, bit_len)
-                assert theory_rate(replace(projective, bit_len=bit_len)) == (
+                assert theory_rate(projective) == (
                     1.0 - 1.0 / power
                 ), (k, bit_len)
 
@@ -729,7 +733,10 @@ class TestTrialKernel:
             mode = BinaryTcf() if run == "binary" else NarySymmetric(int(run[1:]))
             runs = {
                 config_id(cfg): lambda trials, cfg=cfg: run_trials(
-                    replace(cfg, trials=trials)
+                    TrialConfig(
+                        cfg.mode, cfg.bit_len, cfg.strategy, cfg.return_kind,
+                        cfg.verify_method, trials, cfg.seed,
+                    )
                 )
                 for cfg in valid_configs([mode], (16,), trials=50)
             }

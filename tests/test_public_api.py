@@ -40,7 +40,10 @@ def test_cli_import_loads_no_thread_pool_or_logging():
     )
     added = set(result.stdout.split())
     assert "qseal.cli" in added
-    assert added & {"concurrent.futures", "logging", "queue", "traceback"} == set()
+    forbidden = {
+        "concurrent.futures", "logging", "queue", "traceback", "dataclasses", "inspect"
+    }
+    assert added & forbidden == set()
 
 
 def test_one_tcf_instance_class_is_exported():
