@@ -87,16 +87,19 @@ def _distinct(flag: str, path: str | None, other_flag: str, other: str | None) -
     """Refuse two paths to one file before anything is read or written, where
     writing one would replace the other.  Two existing files are one when
     os.path.samefile says so, two missing ones when their os.path.realpath
-    agree; an existing and a missing one never are.  A missing output beside
-    an existing input, as respond usually has, then costs two stat calls and
-    no realpath, which would walk every component of both paths."""
+    agree; an existing and a missing one never are.  realpath, which walks
+    every component of both paths, runs only for a dangling link or for two
+    missing names with one final component: other missing pairs are two files."""
     if path is None or other is None:
         return
     found = [os.path.exists(path), os.path.exists(other)]
     if all(found):
         same = os.path.samefile(path, other)
     else:
-        same = not any(found) and os.path.realpath(path) == os.path.realpath(other)
+        names = {os.path.basename(os.path.normpath(p)) for p in (path, other)}
+        same = not any(found) and (
+            len(names) == 1 or os.path.lexists(path) or os.path.lexists(other)
+        ) and os.path.realpath(path) == os.path.realpath(other)
     if same:
         raise CLIError(f"{flag} and {other_flag} name the same file")
 

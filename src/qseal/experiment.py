@@ -4,7 +4,7 @@ A trial makes the draws of alice_seal_*, bob_respond and alice_verify_*, in
 their order and through their draw helpers, on branch values: it builds no
 BitString, SparseState or TcfOracle.  A quantum verdict is one random() below
 the acceptance probability of the return's class (the register, a string in
-it, a string outside it), one float per class for the run's k and width,
+it, a string outside it), one float per class for the run's k at any width,
 which the run reads from a table.  A classical verdict is the parity of the
 mask against the branch difference.  Each trial's stream is seeded by
 hashing the master seed with the trial index, so results are reproducible
@@ -25,7 +25,6 @@ import struct
 from collections.abc import Iterator
 from random import Random
 
-from .bits import BitString
 from .errors import InvalidInputError
 from .seal import (
     BinaryTcf,
@@ -34,7 +33,6 @@ from .seal import (
     ReturnKind,
     SealMode,
     VerifyMethod,
-    acceptance_probability,
     branch_count,
     check_width,
     cheat_draws,
@@ -42,7 +40,7 @@ from .seal import (
     draw_branches,
     draw_claw,
 )
-from .sparsestate import hadamard_draw, singleton, syndrome_table, uniform_superposition
+from .sparsestate import hadamard_draw, helstrom_p_report_h0, syndrome_table
 from .tcf import TcfParams
 from .value import Value, set_field
 
@@ -52,6 +50,9 @@ DEFAULT_BIT_LEN = 16
 NARY_SECRET_BYTES = 16
 
 CSV_HEADER = "k,p_theory,p_hat,ci_low,ci_high,trials"
+
+_pack_index = struct.Struct(">cq").pack  # a stream's b"i" and index
+_unpack_seed = struct.Struct(">Q").unpack_from  # its seed: 8 digest bytes
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -182,8 +183,8 @@ def _stream_hash(master_seed: int, label: str) -> hashlib._Hash:
 def _stream_seed(prefix: hashlib._Hash, index: int) -> int:
     """The seed of ``prefix`` extended by ``index``; ``prefix`` is not changed."""
     h = prefix.copy()
-    h.update(b"i" + struct.pack(">q", index))
-    return int.from_bytes(h.digest()[:8], "big")
+    h.update(_pack_index(b"i", index))
+    return _unpack_seed(h.digest())[0]
 
 
 def _spawned_rng(master_seed: int, label: str, index: int) -> Random:
@@ -227,12 +228,13 @@ def theory_rate(config: TrialConfig) -> float:
     return 1.0 - math.ldexp(1.0, -config.bit_len)
 
 
-def _class_table(k: int, bit_len: int, method: VerifyMethod) -> tuple[float, ...]:
-    """acceptance_probability of the register, a branch and an outside string
-    against a k-branch register: one float each for every such register."""
-    register = uniform_superposition(BitString(bit_len, v) for v in range(k))
-    cases = register, singleton(BitString(bit_len, 0)), singleton(BitString(bit_len, k))
-    return tuple(acceptance_probability(register, case, method) for case in cases)
+def _class_table(k: int, method: VerifyMethod) -> tuple[float, ...]:
+    """What acceptance_probability gives the register (1.0), a branch (overlap
+    amp) and an outside string (overlap 0.0) against any k-branch register."""
+    amp = 1.0 / math.sqrt(k)
+    if method is VerifyMethod.PROJECTIVE:
+        return 1.0, amp * amp, 0.0
+    return 1.0, helstrom_p_report_h0(amp, amp, 1.0), helstrom_p_report_h0(0.0, 0.0, 1.0)
 
 
 def _run_one(config: TrialConfig, rng: Random, params, table) -> bool:
@@ -272,7 +274,7 @@ def run_trials(config: TrialConfig) -> EstimateReport:
     """
     k, method = branch_count(config.mode), config.verify_method
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
-    table = None if method is None else _class_table(k, config.bit_len, method)
+    table = None if method is None else _class_table(k, method)
     prefix = _stream_hash(config.seed, "trial")
     accepted = sum(
         _run_one(config, rng, params, table)
@@ -348,7 +350,7 @@ def mixture_diagnostic(
     """
     check_width(NarySymmetric(2), bit_len)
     prefix = _stream_hash(seed, "mixture")
-    p_honest, p_kept, _ = _class_table(2, bit_len, VerifyMethod.PROJECTIVE)
+    p_honest, p_kept, _ = _class_table(2, VerifyMethod.PROJECTIVE)
     successes = 0
     for rng in _trial_streams(prefix, trials):
         draw_branches(2, bit_len, rng)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from random import Random
 
@@ -268,11 +269,15 @@ def draw_claw(params: TcfParams, rng: Random) -> tuple[bytes, int, int]:
 def draw_branches(k: int, bit_len: int, rng: Random) -> list[int]:
     """Every draw of an n-ary seal after its secret: the values of k distinct
     ``bit_len``-bit branches, in the order first drawn."""
-    # Rejection sampling: a repeated draw leaves the dict, and the order of
-    # first draws, unchanged.
-    values: dict[int, None] = {}
+    # Rejection sampling: k distinct values take k draws at least, so those come
+    # in one pass; a repeat leaves the dict, and the order of first draws, as is.
+    draw = rng.getrandbits
+    first = list(map(draw, repeat(bit_len, k)))
+    if len(set(first)) == k:
+        return first
+    values = dict.fromkeys(first)
     while len(values) < k:
-        values[rng.getrandbits(bit_len)] = None
+        values[draw(bit_len)] = None
     return list(values)
 
 

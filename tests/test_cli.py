@@ -172,6 +172,26 @@ class TestSealOpen:
         assert "same file" in capsys.readouterr().err
         assert drawn == [] and not (tmp_path / "x.json").exists()
 
+    def test_new_outputs_resolve_no_path(self, tmp_path, monkeypatch):
+        """Two missing outputs that are no links and end in different names
+        are two files, known without os.path.realpath.  One final name in
+        two directories still takes realpath, which tells them apart."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        seal = (
+            "seal", "--mode", "nary", "--bits", "16", "--k", "4", "--secret", "00ff"
+        )
+
+        def refuse(path):
+            raise AssertionError(f"realpath({path!r})")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("qseal.cli.os.path.realpath", refuse)
+            code = run(*seal, "--out-package", "p.json", "--out-secret", "sub/s.json")
+        assert code == 0 and (tmp_path / "sub" / "s.json").exists()
+        assert run(*seal, "--out-package", "x.json", "--out-secret", "sub/x.json") == 0
+        assert (tmp_path / "x.json").exists() and (tmp_path / "sub" / "x.json").exists()
+
     def test_failed_record_write_removes_the_package(self, tmp_path, capsys):
         """A package is never left without its secret record."""
         pkg = tmp_path / "p.json"

@@ -38,6 +38,7 @@ from qseal.experiment import (
     wilson_interval,
 )
 from qseal.seal import (
+    MAX_BIT_LEN,
     AliceSecret,
     BinaryTcf,
     CheatStrategy,
@@ -366,33 +367,43 @@ class TestExactRates:
             assert abs(success - 0.75) <= 1e-12, (register, success)
 
     def test_a_collapsed_branch_has_one_probability_per_k_and_method(self):
-        """Also a string outside the register: each class's probability is
-        the one float the trial kernel's class table holds."""
+        """Also the register itself and a string outside it: each class's
+        probability, at every width, is the one float the trial kernel's
+        class table holds for k, down to the last bit.  A few k also run at
+        their 4k-floor width and at MAX_BIT_LEN."""
         found: dict[tuple[int, VerifyMethod, int], set[str]] = {}
         for mode in self.MODES:
             k = branch_count(mode)
-            for bit_len in (16, 64):
+            widths = [16, 64]
+            if isinstance(mode, NarySymmetric) and k in (2, 5, 17, 64):
+                widths += [(4 * k - 1).bit_length(), MAX_BIT_LEN]
+            for bit_len in widths:
                 for register in self.registers(mode, bit_len):
                     used = {branch.value for branch in register.branches}
                     spare = (min(set(range(k + 1)) - used), (1 << bit_len) - 1)
                     classes = {
-                        1: register.branches,
-                        2: [BitString(bit_len, v) for v in spare if v not in used],
+                        0: [register],
+                        1: [singleton(branch) for branch in register.branches],
+                        2: [
+                            singleton(BitString(bit_len, v))
+                            for v in spare
+                            if v not in used
+                        ],
                     }
                     for method in VerifyMethod:
-                        table = _class_table(k, bit_len, method)
-                        for case, strings in classes.items():
+                        table = _class_table(k, method)
+                        for case, returns in classes.items():
                             hexes = found.setdefault((k, method, case), set())
                             hexes.add(table[case].hex())
                             hexes.update(
-                                acceptance_probability(
-                                    register, singleton(string), method
-                                ).hex()
-                                for string in strings
+                                acceptance_probability(register, returned, method).hex()
+                                for returned in returns
                             )
-        assert len(found) == 63 * len(VerifyMethod) * 2
+        assert len(found) == 63 * len(VerifyMethod) * 3
         spread = {key: hexes for key, hexes in found.items() if len(hexes) != 1}
         assert spread == {}
+        itself = {hexes.pop() for (_, _, case), hexes in found.items() if case == 0}
+        assert itself == {(1.0).hex()}
 
     @pytest.mark.parametrize("bit_len", [2, 3, 16, 64])
     def test_honest_masks_are_accepted_with_total_syndrome_weight_one(self, bit_len):
@@ -607,7 +618,7 @@ def run_state(cfg: TrialConfig):
     params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
     if cfg.verify_method is None:
         return params, None
-    return params, _class_table(branch_count(cfg.mode), cfg.bit_len, cfg.verify_method)
+    return params, _class_table(branch_count(cfg.mode), cfg.verify_method)
 
 
 class TestTrialKernel:
@@ -709,9 +720,9 @@ class TestTrialKernel:
 
     @pytest.mark.parametrize("run", ["binary", "k2", "k8", "k32", "mixture", "curve"])
     def test_trials_build_no_states_or_bit_strings(self, monkeypatch, run):
-        """Only a run's setup and class table build states and bit strings,
-        so 50 and 500 trials build the same number of each: every valid
-        config of each mode, the mixture diagnostic and a k <= 8 curve."""
+        """A run builds no state and no bit string, neither per trial nor in
+        its setup or class table, at 50 and at 500 trials: every valid config
+        of each mode, the mixture diagnostic and a k <= 8 curve."""
         built = {SparseState: 0, BitString: 0}
 
         def counting(cls):
@@ -740,18 +751,15 @@ class TestTrialKernel:
                 )
                 for cfg in valid_configs([mode], (16,), trials=50)
             }
-        totals = dict.fromkeys(built, 0)
         for name, execute in runs.items():
-            counts = []
             for trials in (50, 500):
                 built.update(dict.fromkeys(built, 0))
                 execute(trials)
-                counts.append(dict(built))
-            assert counts[0] == counts[1], name
-            for cls in totals:
-                totals[cls] += counts[0][cls]
-        # The counters see the class tables' constructions.
-        assert all(totals.values()), totals
+                assert built == {SparseState: 0, BitString: 0}, (name, trials)
+        # The counters are live: one seal under the same patches counts both.
+        built.update(dict.fromkeys(built, 0))
+        alice_seal_nary(4, b"s", 16, Random(0))
+        assert all(built.values()), built
 
     @pytest.fixture
     def verdict_calls(self, monkeypatch) -> dict[str, int]:
@@ -773,26 +781,31 @@ class TestTrialKernel:
         monkeypatch.setattr(seal, "inner_product", counted_inner)
         return calls
 
-    def test_helstrom_verdicts_test_closeness_and_overlaps_once_per_run(
-        self, verdict_calls
-    ):
-        """The class table tests each class's return once: three closeness
-        tests, and two overlaps for each return that is not the register."""
+    def test_helstrom_verdicts_test_no_closeness_or_overlap(self, verdict_calls):
+        """The class table computes its floats from k: no run, whatever its
+        trial count, tests a closeness or takes an overlap."""
         for mode in (BinaryTcf(), NarySymmetric(8)):
             for trials in (50, 500):
                 verdict_calls.update(isclose=0, inner_product=0)
                 run_trials(config(mode=mode, trials=trials))
-                assert verdict_calls == {"isclose": 3, "inner_product": 4}
+                assert verdict_calls == {"isclose": 0, "inner_product": 0}
+        self.assert_counted(verdict_calls, VerifyMethod.HELSTROM_PER_BRANCH, 2)
 
-    def test_mixture_verdicts_test_closeness_and_overlaps_once_per_run(
-        self, verdict_calls
-    ):
-        """Projective: one overlap for each class return that is not the
-        register."""
+    def test_mixture_verdicts_test_no_closeness_or_overlap(self, verdict_calls):
+        """Projective, as the mixture diagnostic verifies: none either."""
         for trials in (200, 2_000):
             verdict_calls.update(isclose=0, inner_product=0)
             mixture_diagnostic(16, trials, seed=4)
-            assert verdict_calls == {"isclose": 3, "inner_product": 2}
+            assert verdict_calls == {"isclose": 0, "inner_product": 0}
+        self.assert_counted(verdict_calls, VerifyMethod.PROJECTIVE, 1)
+
+    @staticmethod
+    def assert_counted(calls, method: VerifyMethod, overlaps: int) -> None:
+        """The counters are live: one verdict on a collapsed branch counts."""
+        calls.update(isclose=0, inner_product=0)
+        register = uniform_superposition(BitString(16, v) for v in range(2))
+        acceptance_probability(register, singleton(BitString(16, 0)), method)
+        assert calls == {"isclose": 1, "inner_product": overlaps}
 
     def test_runs_in_four_threads_match_serial_runs(self):
         """Runs interleaved with each other's trials give the serial

@@ -70,6 +70,10 @@ GOLDEN = {
     # The sweep the benchmark's curve-nary workload runs: k = 2..32 at 16 bits.
     "curve.bench.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
     "curve.bench.csv": "7b3a7a0b52e49cc9d630b5b4223d41e74829c0ece18cd6d308fad8b6137b481f",
+    # A sweep at 5 bits, where about 60% of k = 8 seals redraw a branch:
+    # pins the draws past the first k.
+    "curve.topup.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "curve.topup.csv": "efcd09c4dadd8550e94e1a1759c1fbeaf6037c5249dffcaa7c3a8d504eaea904",
 }
 
 
@@ -167,6 +171,12 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
         "--seed", "6", "--out", str(csv),
     )
     out["curve.bench.csv"] = csv.read_bytes()
+    csv = tmp / "curve-topup.csv"
+    run(
+        "curve.topup", "curve", "--k-max", "8", "--trials", "200", "--bits", "5",
+        "--seed", "3", "--out", str(csv),
+    )
+    out["curve.topup.csv"] = csv.read_bytes()
     return out
 
 

@@ -39,6 +39,7 @@ from qseal.seal import (
     check_register,
     check_width,
     compatible,
+    draw_branches,
     quantum_verdict,
 )
 from qseal.sparsestate import (
@@ -223,6 +224,36 @@ class TestSealNary:
             _, record = alice_seal_nary(32, b"x", 7, rng)
             assert record.branches == tuple(expected)
             assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("k", [2, 5, 8, 17, 32, 64])
+    def test_draw_branches_matches_a_one_draw_loop(self, k):
+        """draw_branches against a copy of the loop that draws one value at
+        a time until it has k distinct ones, on 2000 seeds spread over every
+        width from the 4k floor up to 33 bits: the same values in the same
+        order, and the generator left in the same state.  The narrow widths
+        repeat a value among the first k draws for some seeds, so draws past
+        k run too."""
+
+        def one_draw_loop(bit_len: int, rng: Random) -> tuple[list[int], bool]:
+            values: dict[int, None] = {}
+            draws = 0
+            while len(values) < k:
+                values[rng.getrandbits(bit_len)] = None
+                draws += 1
+            return list(values), draws > k
+
+        widths = range((4 * k - 1).bit_length(), 34)
+        rng, reference_rng = Random(), Random()
+        topped_up = 0
+        for seed in range(2000):
+            bit_len = widths[seed % len(widths)]
+            rng.seed(seed)
+            reference_rng.seed(seed)
+            expected, redrew = one_draw_loop(bit_len, reference_rng)
+            assert draw_branches(k, bit_len, rng) == expected, seed
+            assert rng.getstate() == reference_rng.getstate(), seed
+            topped_up += redrew
+        assert topped_up > 0
 
     def test_branch_resampling_survives_collisions(self):
         # Tight width forces duplicate draws; sealing must still finish
