@@ -8,7 +8,6 @@ the register (or a measurement of it) comes back for verification.
 from .bits import BitString
 from .errors import (
     AmbiguousTagError,
-    CapacityError,
     DocumentError,
     InvalidInputError,
     ProtocolCorruptionError,
@@ -62,7 +61,6 @@ __all__ = [
     "AmbiguousTagError",
     "BinaryTcf",
     "BitString",
-    "CapacityError",
     "CheatStrategy",
     "Ciphertext",
     "ClassicalReturn",

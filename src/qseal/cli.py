@@ -22,12 +22,7 @@ from random import Random
 from typing import Any, Callable, Sequence
 
 from . import documents
-from .errors import (
-    CapacityError,
-    InvalidInputError,
-    QsealError,
-    UnsupportedModeError,
-)
+from .errors import InvalidInputError, QsealError, UnsupportedModeError
 from .experiment import (
     DEFAULT_BIT_LEN,
     TrialConfig,
@@ -60,7 +55,7 @@ class CLIError(Exception):
 
 # Exit 2 for a request that is itself invalid; every other deliberate
 # failure (corrupt documents, inconsistent protocol material, IO) exits 3.
-_USAGE_ERRORS = (CLIError, InvalidInputError, UnsupportedModeError, CapacityError)
+_USAGE_ERRORS = (CLIError, InvalidInputError, UnsupportedModeError)
 
 
 # ---------------------------------------------------------------------------

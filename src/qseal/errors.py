@@ -15,10 +15,6 @@ class InvalidInputError(QsealError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class CapacityError(QsealError):
-    """The requested operation exceeds a configured size cap."""
-
-
 class TagNotFoundError(QsealError):
     """No ciphertext in the collection carries the key's tag."""
 

@@ -6,13 +6,15 @@ BitString, SparseState or TcfOracle.  A quantum verdict is one random() below
 the acceptance probability of the return's class (the register, a string in
 it, a string outside it), one float per class for the run's k at any width,
 which the run reads from a table.  A classical verdict is the parity of the
-mask against the branch difference.  Each trial's stream is seeded by
-hashing the master seed with the trial index, so results are reproducible
-bit-for-bit and independent of how trials are scheduled.  Every run is
-serial, in the calling thread.  A run hashes the (seed, label) prefix once,
-extends a copy of it by each trial's index, and reseeds one random.Random of
-its own with the result, which gives each trial exactly the stream
-_spawned_rng(seed, label, index) derives on its own.
+mask against the branch difference; an honest mask is drawn as
+hadamard_measure draws it on the register, from the branch values alone.
+Each trial's stream is seeded by hashing the master seed with the trial
+index, so results are reproducible bit-for-bit and independent of how
+trials are scheduled.  Every run is serial, in the calling thread.  A run
+hashes the (seed, label) prefix once, extends a copy of it by each trial's
+index, and reseeds one random.Random of its own with the result, which gives
+each trial exactly the stream _spawned_rng(seed, label, index) derives on
+its own.
 
 Reported intervals are 95% Wilson score intervals.
 """
@@ -34,13 +36,14 @@ from .seal import (
     SealMode,
     VerifyMethod,
     branch_count,
+    challenge_defined,
     check_width,
     cheat_draws,
     compatible,
     draw_branches,
     draw_claw,
 )
-from .sparsestate import hadamard_draw, helstrom_p_report_h0, syndrome_table
+from .sparsestate import _orthogonal_mask, helstrom_p_report_h0
 from .tcf import TcfParams
 from .value import Value, set_field
 
@@ -116,7 +119,7 @@ class TrialConfig(Value):
                     "classical challenges have a fixed check and take no "
                     "verify method"
                 )
-            if branch_count(self.mode) != 2:
+            if not challenge_defined(self.return_kind, branch_count(self.mode)):
                 raise InvalidInputError(
                     "classical challenges are defined only for two branches"
                 )
@@ -254,12 +257,11 @@ def _run_one(config: TrialConfig, rng: Random, params, table) -> bool:
             _, fresh = cheat_draws(strategy, bit_len, rng)
         case = 0 if honest else 1 if fresh is None or fresh in branches else 2
         return rng.random() < table[case]
-    if honest:  # weights are relative: |x1> + |x2> has the register's table
-        syndromes = syndrome_table([(value, 1.0) for value in branches])
-        mask = hadamard_draw(bit_len, syndromes, rng)
+    x1, x2 = branches
+    if honest:  # hadamard_measure's draw: equal amplitudes leave d.diff = 0
+        mask = _orthogonal_mask(bit_len, x1 ^ x2, rng)
     else:
         _, mask = cheat_draws(strategy, bit_len, rng)
-    x1, x2 = branches
     return not (mask & (x1 ^ x2)).bit_count() & 1
 
 

@@ -140,6 +140,12 @@ def compatible(strategy: CheatStrategy, kind: ReturnKind) -> bool:
     return kind is ReturnKind.QUANTUM
 
 
+def challenge_defined(kind: ReturnKind, k: int) -> bool:
+    """Whether a k-branch seal can take a ``kind`` challenge: the Hadamard
+    check mask . (x1 xor x2) = 0 is defined only for two branches."""
+    return kind is ReturnKind.QUANTUM or k == 2
+
+
 class SealPackage(Value):
     """What Bob receives: the register plus the opening material.
 
@@ -373,11 +379,16 @@ def bob_respond(
 
     The register travels back inside the message (quantum) or is consumed
     by the Hadamard measurement (classical); either way this call is the
-    single use of the package in a trial.
+    single use of the package in a trial.  A classical challenge to a seal
+    of more than two branches raises UnsupportedModeError before any draw.
     """
     if not compatible(strategy, kind):
         raise UnsupportedModeError(
             f"strategy {strategy.value} cannot answer a {kind.value} challenge"
+        )
+    if not challenge_defined(kind, branch_count(package.mode)):
+        raise UnsupportedModeError(
+            "classical challenges are defined only for two-branch seals"
         )
     register = package.register
     if strategy is CheatStrategy.HONEST:
@@ -486,7 +497,7 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
     The all-zero mask is a valid honest outcome and is accepted; a mask of
     another width raises InvalidInputError.
     """
-    if len(record.branches) != 2:
+    if not challenge_defined(ReturnKind.CLASSICAL, len(record.branches)):
         raise UnsupportedModeError(
             "classical verification is defined only for two-branch seals"
         )

@@ -3,8 +3,9 @@
 States here are real-amplitude superpositions of a handful of basis strings,
 stored as a read-only map from BitString to amplitude.  All protocol states
 have at most a few dozen branches, so nothing ever materializes a dense 2^n
-vector: the Hadamard-basis sampler weighs the 2^r syndromes of the branch
-differences, r <= k - 1 their rank, and is capped at MAX_SYNDROME_RANK.
+vector.  Hadamard-basis sampling is defined for states of one or two
+branches, the only ones a Hadamard challenge is put to, and is exact there
+for any real amplitudes.
 
 Measurement routines draw from a caller-supplied random.Random so every
 sampling decision is reproducible from a seed.
@@ -18,16 +19,13 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .bits import BitString
-from .errors import CapacityError, InvalidInputError
+from .errors import InvalidInputError, UnsupportedModeError
 from .value import Value, set_field
 
 # Tolerance for the sum of squared amplitudes.
 NORM_TOL = 1e-9
 # Tolerance when comparing individual amplitudes.
 AMP_TOL = 1e-12
-# hadamard_measure weighs 2^r syndromes, r the rank of the branch
-# differences; refuse beyond this rank.
-MAX_SYNDROME_RANK = 20
 
 
 class SparseState(Value):
@@ -146,55 +144,36 @@ def hadamard_measure(state: SparseState, rng: Random) -> BitString:
     """Measure every qubit in the Hadamard basis; return the outcome string.
 
     The outcome d appears with probability proportional to
-    (sum_j amp_j * (-1)^(d.x_j))^2 over the state's terms x_j, which depends
-    on d only through its syndrome: its parities against a basis of the
-    differences x_j xor x_1, whose 2^r values have equally many preimages.
-    Raises CapacityError when r exceeds MAX_SYNDROME_RANK.
+    (sum_j amp_j * (-1)^(d.x_j))^2 over the state's terms x_j.  One branch
+    makes every d equally likely.  Two branches a|x1> + b|x2> split the d
+    into the halves d.(x1 xor x2) = 0 and = 1, each uniform within, weighed
+    (a + b)^2 and (a - b)^2; one choices() picks the half when both weigh.
+    A state of three or more branches raises UnsupportedModeError before
+    any draw.
     """
-    table = syndrome_table([(key.value, amp) for key, amp in state.terms.items()])
-    return BitString(state.bit_len, hadamard_draw(state.bit_len, table, rng))
+    n = state.bit_len
+    if state.num_branches > 2:
+        raise UnsupportedModeError(
+            "Hadamard sampling is defined only for one or two branches"
+        )
+    if state.num_branches == 1:
+        return BitString(n, rng.getrandbits(n))
+    (first, a), (second, b) = state.terms.items()
+    diff = first.value ^ second.value
+    d = _orthogonal_mask(n, diff, rng)
+    even, odd = (a + b) * (a + b), (a - b) * (a - b)
+    if not even or (odd and rng.choices(range(2), (even, odd))[0]):
+        d ^= diff & -diff
+    return BitString(n, d)
 
 
-def syndrome_table(pairs: list[tuple[int, float]]) -> tuple[list, list, list]:
-    """A reduced basis of the differences of the (value, amplitude) terms,
-    the pivot bits reps[s] of each syndrome s, and its exact relative weight."""
-    # Reduced basis: each vector's pivot, its lowest set bit, is clear in
-    # every other vector, so flipping one pivot of d flips one parity.  A
-    # pivot never moves once added; reps[s] holds the pivot bits of syndrome s.
-    basis: list[int] = []
-    reps = [0]
-    for value, _ in pairs:
-        diff = value ^ pairs[0][0]
-        for vector in basis:
-            if diff & vector & -vector:
-                diff ^= vector
-        if diff:
-            if len(basis) == MAX_SYNDROME_RANK:
-                raise CapacityError(
-                    f"branch differences have rank above {MAX_SYNDROME_RANK}"
-                )
-            basis = [v ^ diff if v & diff & -diff else v for v in basis] + [diff]
-            reps += [rep | (diff & -diff) for rep in reps]
-    weights = []
-    for rep in reps:
-        acc = 0.0
-        for value, amp in pairs:
-            acc += -amp if (rep & value).bit_count() & 1 else amp
-        weights.append(acc * acc)
-    return basis, reps, weights
-
-
-def hadamard_draw(bit_len: int, table: tuple[list, list, list], rng: Random) -> int:
-    """d drawn uniformly (getrandbits), its pivot bits flipped to match a
-    syndrome drawn by weight (one random(), only if more than one is live)."""
-    basis, reps, weights = table
+def _orthogonal_mask(bit_len: int, diff: int, rng: Random) -> int:
+    """A uniform ``bit_len``-bit d with d.diff = 0, on one getrandbits: the
+    lowest set bit of a nonzero ``diff`` fixes the parity of an odd draw."""
     d = rng.getrandbits(bit_len)
-    live = [s for s, w in enumerate(weights) if w > 0.0]
-    drawn = live[0] if len(live) == 1 else rng.choices(range(len(reps)), weights)[0]
-    observed = 0
-    for i, vector in enumerate(basis):
-        observed |= ((d & vector).bit_count() & 1) << i
-    return d ^ reps[observed ^ drawn]
+    if (d & diff).bit_count() & 1:
+        d ^= diff & -diff
+    return d
 
 
 def helstrom_discriminate(

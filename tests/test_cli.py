@@ -503,9 +503,19 @@ class TestRespondVerify:
     def test_classical_verify_of_three_branch_secret_is_unsupported(
         self, nary_files, binary_files, tmp_path
     ):
+        """Neither respond nor verify takes a classical challenge to a
+        three-branch seal: respond exits 2 for every strategy, writing no
+        file and leaving the package as it was."""
         bpkg, _ = binary_files
-        _, nsec = nary_files
+        npkg, nsec = nary_files
+        sealed = npkg.read_bytes()
         ret = tmp_path / "ret.json"
+        for strategy in CheatStrategy:
+            assert run(
+                "respond", "--package", str(npkg), "--strategy", strategy.value,
+                "--kind", "classical", "--seed", "1", "--out", str(ret),
+            ) == 2, strategy
+            assert not ret.exists() and npkg.read_bytes() == sealed, strategy
         run(
             "respond", "--package", str(bpkg), "--strategy", "honest",
             "--kind", "classical", "--seed", "1", "--out", str(ret),

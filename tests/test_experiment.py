@@ -56,8 +56,8 @@ from qseal.seal import (
 )
 from qseal.sparsestate import (
     SparseState,
+    hadamard_measure,
     singleton,
-    syndrome_table,
     uniform_superposition,
 )
 from qseal.symcrypto import Ciphertext
@@ -406,35 +406,50 @@ class TestExactRates:
         assert itself == {(1.0).hex()}
 
     @pytest.mark.parametrize("bit_len", [2, 3, 16, 64])
-    def test_honest_masks_are_accepted_with_total_syndrome_weight_one(self, bit_len):
-        """Every Hadamard outcome of a two-branch register with nonzero
-        weight passes alice_verify_classical, exactly.  The trial kernel's
-        table of unit amplitudes, in either branch order, draws the same
-        masks."""
+    def test_honest_masks_are_hadamard_draws_and_are_accepted(
+        self, bit_len, monkeypatch
+    ):
+        """_run_one's honest classical mask is hadamard_measure's on the
+        register sealed from the same stream, whichever branch was drawn
+        first, and leaves the stream where hadamard_measure does;
+        alice_verify_classical accepts every such mask."""
+        masks = []
+        orthogonal_mask = sparsestate._orthogonal_mask
+
+        def recorded(n, diff, rng):
+            masks.append(orthogonal_mask(n, diff, rng))
+            return masks[-1]
+
+        monkeypatch.setattr(experiment, "_orthogonal_mask", recorded)
         modes = [BinaryTcf()] if bit_len == 2 else [BinaryTcf(), NarySymmetric(2)]
         for mode in modes:
-            for register in self.registers(mode, bit_len):
-                x1, x2 = register.branches
-                record = AliceSecret(
-                    mode,
-                    b"exact",
-                    (x1, x2),
-                    x1 ^ x2 if isinstance(mode, BinaryTcf) else None,
-                    register,
-                )
-                basis, reps, weights = syndrome_table(
-                    [(key.value, amp) for key, amp in register.terms.items()]
-                )
-                for order in ((x1, x2), (x2, x1)):
-                    unit = syndrome_table([(branch.value, 1.0) for branch in order])
-                    assert unit[:2] == (basis, reps)
-                    assert [w > 0.0 for w in unit[2]] == [w > 0.0 for w in weights]
-                accepted = sum(
-                    weight
-                    for rep, weight in zip(reps, weights)
-                    if alice_verify_classical(record, BitString(bit_len, rep))
-                )
-                assert accepted / sum(weights) == 1.0, register
+            cfg = config(
+                mode=mode,
+                bit_len=bit_len,
+                strategy=CheatStrategy.HONEST,
+                return_kind=ReturnKind.CLASSICAL,
+                verify_method=None,
+                trials=100,
+            )
+            params, table = run_state(cfg)
+            orders = set()
+            for index in range(cfg.trials):
+                masks.clear()
+                kernel = _spawned_rng(cfg.seed, "trial", index)
+                assert _run_one(cfg, kernel, params, table), index
+                public = _spawned_rng(cfg.seed, "trial", index)
+                if params is not None:
+                    package, record = alice_seal_binary(params, public)
+                else:
+                    public.getrandbits(8 * NARY_SECRET_BYTES)
+                    package, record = alice_seal_nary(2, b"s", bit_len, public)
+                mask = hadamard_measure(package.register, public)
+                assert masks == [mask.value], index
+                assert kernel.getstate() == public.getstate(), index
+                assert alice_verify_classical(record, mask), index
+                first, second = record.branches
+                orders.add(first.value < second.value)
+            assert orders == {False, True}
 
     @pytest.mark.parametrize("bit_len", range(2, 9))
     def test_a_guessed_mask_passes_exactly_half_the_masks(self, bit_len):

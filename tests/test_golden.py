@@ -63,10 +63,9 @@ GOLDEN = {
     "verify.binary.keep.quantum.helstrom.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
     "verify.nary.keep.quantum.projective.1.console": "ed0236c875b20a13dfdf5a18bac5434e6ba0e62ae62c89e9e22b4447539c33ca",
     "verify.nary.keep.quantum.projective.2.console": "1791a7c8d625f3aeb08756495ecdf867e5f4b42fe9ee2d90cfb06f2d79e3ec76",
-    # An honest Hadamard answer to a 5-branch seal: the syndrome sampler
-    # draws getrandbits(n) before random(), and this entry pins that order.
-    "respond.nary.honest.classical": "d6f85b9f25159562abee802c3d2737d97c114378c9ba49f0ff0ec62772935794",
-    "respond.nary.honest.classical.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    # A Hadamard challenge to a 5-branch seal: respond exits 2, writes no file.
+    "respond.nary.honest.classical.refused": "ac4ccd469f3bfea22f4c10d36fa327932a0bc82e055d93288667305f54b2ca9d",
+    "respond.nary.honest.classical.refused.console": "5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff",
     # The sweep the benchmark's curve-nary workload runs: k = 2..32 at 16 bits.
     "curve.bench.console": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
     "curve.bench.csv": "7b3a7a0b52e49cc9d630b5b4223d41e74829c0ece18cd6d308fad8b6137b481f",
@@ -110,7 +109,7 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
         ("binary.keep.quantum", binary_pkg, "measure-keep", "quantum"),
         ("binary.guess.classical", binary_pkg, "measure-guess-d", "classical"),
         ("nary.keep.quantum", nary_pkg, "measure-keep", "quantum"),
-        ("nary.honest.classical", nary_pkg, "honest", "classical"),
+        ("nary.honest.classical.refused", nary_pkg, "honest", "classical"),
     )
     for name, pkg, strategy, kind in responses:
         ret = tmp / f"{name}.json"
@@ -119,7 +118,7 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
             "--strategy", strategy, "--kind", kind, "--seed", "5",
             "--out", str(ret),
         )
-        out[f"respond.{name}"] = ret.read_bytes()
+        out[f"respond.{name}"] = ret.read_bytes() if ret.exists() else b"no file\n"
 
     verifies = (
         # name, secret record, method

@@ -36,6 +36,7 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_open,
     bob_respond,
+    branch_count,
     check_register,
     check_width,
     compatible,
@@ -455,10 +456,16 @@ class TestRespond:
             assert compatible(strategy, kind) is expected
 
     def test_incompatible_pairs_raise(self):
-        for package, _ in (seal_binary(), seal_nary(k=2), seal_nary(k=8)):
+        """Incompatible pairs, and every classical challenge to a seal of
+        more than two branches, raise before any draw."""
+        packages = [seal_binary(), *(seal_nary(k=k) for k in (2, 3, 8, 64))]
+        for package, _ in packages:
+            k = branch_count(package.mode)
             for strategy in CheatStrategy:
                 for kind in ReturnKind:
-                    if compatible(strategy, kind):
+                    if compatible(strategy, kind) and (
+                        kind is ReturnKind.QUANTUM or k == 2
+                    ):
                         continue
                     rng = Random(0)
                     before = rng.getstate()

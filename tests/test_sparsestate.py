@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qseal.bits import BitString
-from qseal.errors import CapacityError, InvalidInputError
+from qseal.errors import InvalidInputError, UnsupportedModeError
 from qseal.seal import VerifyMethod, acceptance_probability
 from qseal.sparsestate import (
     AMP_TOL,
@@ -57,6 +57,42 @@ def dense_hadamard_distribution(state: SparseState) -> list[float]:
         probs.append((acc * scale) ** 2)
     assert abs(sum(probs) - 1.0) < 1e-9
     return probs
+
+
+def rank_syndrome_table(pairs: list[tuple[int, float]]) -> tuple[list, list, list]:
+    """The general rank-r Hadamard sampler's table, kept as a draw-for-draw
+    reference: a reduced basis of the differences of the (value, amplitude)
+    terms, the pivot bits reps[s] of each syndrome s, and its weight."""
+    basis: list[int] = []
+    reps = [0]
+    for value, _ in pairs:
+        diff = value ^ pairs[0][0]
+        for vector in basis:
+            if diff & vector & -vector:
+                diff ^= vector
+        if diff:
+            basis = [v ^ diff if v & diff & -diff else v for v in basis] + [diff]
+            reps += [rep | (diff & -diff) for rep in reps]
+    weights = []
+    for rep in reps:
+        acc = 0.0
+        for value, amp in pairs:
+            acc += -amp if (rep & value).bit_count() & 1 else amp
+        weights.append(acc * acc)
+    return basis, reps, weights
+
+
+def rank_syndrome_draw(bit_len: int, table: tuple[list, list, list], rng: Random) -> int:
+    """d drawn uniformly (getrandbits), its pivot bits flipped to match a
+    syndrome drawn by weight (one choices(), only if more than one is live)."""
+    basis, reps, weights = table
+    d = rng.getrandbits(bit_len)
+    live = [s for s, w in enumerate(weights) if w > 0.0]
+    drawn = live[0] if len(live) == 1 else rng.choices(range(len(reps)), weights)[0]
+    observed = 0
+    for i, vector in enumerate(basis):
+        observed |= ((d & vector).bit_count() & 1) << i
+    return d ^ reps[observed ^ drawn]
 
 
 def total_variation(empirical: Counter, probs: list[float], draws: int) -> float:
@@ -438,14 +474,6 @@ class TestHadamardMeasure:
         empirical = Counter(hadamard_measure(state, rng).value for _ in range(draws))
         assert total_variation(empirical, probs, draws) < 0.02
 
-    def test_three_branch_matches_dense_oracle(self):
-        state = uniform(6, 5, 17, 40)
-        probs = dense_hadamard_distribution(state)
-        rng = Random(22)
-        draws = 100_000
-        empirical = Counter(hadamard_measure(state, rng).value for _ in range(draws))
-        assert total_variation(empirical, probs, draws) < 0.02
-
     def test_singleton_gives_uniform_outcomes(self):
         state = singleton(bs(4, 6))
         rng = Random(3)
@@ -468,7 +496,35 @@ class TestHadamardMeasure:
         for _ in range(2000):
             assert hadamard_measure(state, rng).dot(diff) == 1
 
-    @pytest.mark.parametrize("seed, k", [(31, 2), (32, 3), (33, 4)])
+    def test_draws_match_the_rank_syndrome_sampler(self):
+        """Outcome and stream state equal those of the general rank-r
+        sampler, draw for draw, at every width from 2 to 64: singletons of
+        either sign, and two-branch states with equal, sign-flipped and
+        random real amplitudes."""
+        for n in range(2, 65):
+            gen = Random(n)
+            rng, reference = Random(-n), Random(-n)
+            for seed in range(1000):
+                value = gen.getrandbits(n)
+                x1, x2 = bs(n, value), bs(n, value ^ gen.randrange(1, 1 << n))
+                a, b = gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0)
+                norm = math.sqrt(a * a + b * b)
+                amp = 1.0 / math.sqrt(2.0)
+                states = (
+                    SparseState(n, {x1: gen.choice((1.0, -1.0))}),
+                    uniform_superposition((x1, x2)),
+                    SparseState(n, {x1: amp, x2: -amp}),
+                    SparseState(n, {x1: a / norm, x2: b / norm}),
+                )
+                for state in states:
+                    table = rank_syndrome_table(
+                        [(key.value, coeff) for key, coeff in state.terms.items()]
+                    )
+                    want = rank_syndrome_draw(n, table, reference)
+                    assert hadamard_measure(state, rng).value == want, (n, seed, state)
+                assert rng.getstate() == reference.getstate(), (n, seed)
+
+    @pytest.mark.parametrize("seed, k", [(31, 2)])
     def test_random_amplitudes_match_dense_oracle(self, seed, k):
         gen = Random(seed)
         keys = gen.sample(range(64), k)
@@ -507,37 +563,22 @@ class TestHadamardMeasure:
     )
     @settings(derandomize=True, deadline=None, max_examples=200)
     def test_outcomes_lie_in_the_dense_support(self, shape, raw, seed):
+        """One or two branches sample inside the dense support; three or
+        more are refused before any draw."""
         n, keys = shape
         amps = raw[: len(keys)]
         norm = math.sqrt(sum(a * a for a in amps))
         state = SparseState(n, {bs(n, v): a / norm for v, a in zip(keys, amps)})
-        probs = dense_hadamard_distribution(state)
         rng = Random(seed)
+        if len(keys) > 2:
+            before = rng.getstate()
+            with pytest.raises(UnsupportedModeError):
+                hadamard_measure(state, rng)
+            assert rng.getstate() == before
+            return
+        probs = dense_hadamard_distribution(state)
         for _ in range(20):
             assert probs[hadamard_measure(state, rng).value] > 1e-12
-
-    def test_few_branches_sample_at_any_width(self):
-        # Branch differences 3 and 2 have rank 2, so only bits 0 and 1 of d
-        # matter: p = (3/4, 1/12, 1/12, 1/12) for d mod 4 = 0, 1, 2, 3.
-        state = uniform(24, 1, 2, 3)
-        rng = Random(0)
-        draws = 12_000
-        outcomes = [hadamard_measure(state, rng) for _ in range(draws)]
-        assert all(outcome.bit_len == 24 for outcome in outcomes)
-        counts = Counter(outcome.value & 0b11 for outcome in outcomes)
-        for low, p in enumerate((0.75, 1 / 12, 1 / 12, 1 / 12)):
-            assert abs(counts[low] / draws - p) < 0.015
-        assert len({outcome.value >> 2 for outcome in outcomes}) > draws // 2
-
-    def test_rank_above_cap_hits_capacity_error(self):
-        state = uniform(24, 0, *(1 << i for i in range(21)))
-        with pytest.raises(CapacityError):
-            hadamard_measure(state, Random(0))
-
-    def test_dense_path_allowed_at_cap(self):
-        state = uniform(20, 1, 2, 3)
-        outcome = hadamard_measure(state, Random(0))
-        assert outcome.bit_len == 20
 
 
 # ---------------------------------------------------------------------------
