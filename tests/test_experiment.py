@@ -490,6 +490,21 @@ class TestTrialConfig:
                 verify_method=None,
             )
 
+    def test_only_classical_challenges_are_bound_to_two_branches(self):
+        for k in (2, 3, 8, 64):
+            config(mode=NarySymmetric(k), strategy=CheatStrategy.HONEST)
+            classical = dict(
+                mode=NarySymmetric(k),
+                strategy=CheatStrategy.HONEST,
+                return_kind=ReturnKind.CLASSICAL,
+                verify_method=None,
+            )
+            if k == 2:
+                config(**classical)
+            else:
+                with pytest.raises(InvalidInputError):
+                    config(**classical)
+
     def test_classical_forbids_verify_method(self):
         with pytest.raises(InvalidInputError):
             config(

@@ -37,6 +37,7 @@ from qseal.seal import (
     bob_open,
     bob_respond,
     branch_count,
+    challenge_defined,
     check_register,
     check_width,
     compatible,
@@ -454,6 +455,11 @@ class TestRespond:
         }
         for (strategy, kind), expected in table.items():
             assert compatible(strategy, kind) is expected
+
+    def test_classical_challenges_are_defined_only_for_two_branches(self):
+        for k in (1, 2, 3, 8, 64):
+            assert challenge_defined(ReturnKind.QUANTUM, k)
+            assert challenge_defined(ReturnKind.CLASSICAL, k) is (k == 2)
 
     def test_incompatible_pairs_raise(self):
         """Incompatible pairs, and every classical challenge to a seal of

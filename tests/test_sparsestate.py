@@ -21,6 +21,7 @@ from qseal.seal import VerifyMethod, acceptance_probability
 from qseal.sparsestate import (
     AMP_TOL,
     SparseState,
+    _orthogonal_mask,
     hadamard_measure,
     helstrom_discriminate,
     inner_product,
@@ -524,7 +525,54 @@ class TestHadamardMeasure:
                     assert hadamard_measure(state, rng).value == want, (n, seed, state)
                 assert rng.getstate() == reference.getstate(), (n, seed)
 
-    @pytest.mark.parametrize("seed, k", [(31, 2)])
+    def test_three_or_more_branches_are_refused_before_any_draw(self):
+        for n, k in ((2, 3), (6, 4), (8, 8), (256, 3), (256, 64)):
+            state = uniform(n, *range(k))
+            rng = Random(k)
+            before = rng.getstate()
+            with pytest.raises(UnsupportedModeError):
+                hadamard_measure(state, rng)
+            assert rng.getstate() == before, (n, k)
+
+    def test_orthogonal_mask_is_uniform_on_the_even_half_in_one_draw(self):
+        """The 8 masks d of 4 bits with d.0b1011 = 0 are equally likely,
+        and each mask costs the stream exactly one getrandbits(4)."""
+        from scipy.stats import chisquare
+
+        diff = 0b1011
+        rng, reference = Random(5), Random(5)
+        draws = 40_000
+        counts = Counter()
+        for _ in range(draws):
+            counts[_orthogonal_mask(4, diff, rng)] += 1
+            reference.getrandbits(4)
+        assert rng.getstate() == reference.getstate()
+        even = [d for d in range(16) if not (d & diff).bit_count() & 1]
+        assert sorted(counts) == even
+        assert chisquare([counts[d] for d in even]).pvalue > 0.001
+
+    def test_few_branches_sample_at_any_width(self):
+        # Two branches a|x1> + b|x2> weigh the half d.(x1 xor x2) = 1 by
+        # (a - b)^2 / 2 at every width, here (1 - sin(pi/4)) / 2; a single
+        # branch splits every parity evenly.  The bits of d beyond the
+        # difference stay uniform.
+        a, b = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        draws = 12_000
+        for n in (24, 100, 300):
+            x1, x2 = bs(n, 1), bs(n, (1 << (n - 1)) | 2)
+            diff = x1 ^ x2
+            for state, odd in (
+                (SparseState(n, {x1: a, x2: b}), (a - b) ** 2 / 2),
+                (singleton(x2), 0.5),
+            ):
+                rng = Random(n)
+                outcomes = [hadamard_measure(state, rng) for _ in range(draws)]
+                assert all(outcome.bit_len == n for outcome in outcomes)
+                share = sum(outcome.dot(diff) for outcome in outcomes) / draws
+                assert abs(share - odd) < 0.015, (n, odd, share)
+                assert len({outcome.value >> 2 for outcome in outcomes}) > draws // 2
+
+    @pytest.mark.parametrize("seed, k", [(30, 1), (31, 2)])
     def test_random_amplitudes_match_dense_oracle(self, seed, k):
         gen = Random(seed)
         keys = gen.sample(range(64), k)
