@@ -22,7 +22,7 @@ from random import Random
 from typing import Any, Callable, Sequence
 
 from . import documents
-from .errors import InvalidInputError, QsealError, UnsupportedModeError
+from .errors import InvalidInputError, QsealError
 from .experiment import (
     DEFAULT_BIT_LEN,
     TrialConfig,
@@ -55,7 +55,7 @@ class CLIError(Exception):
 
 # Exit 2 for a request that is itself invalid; every other deliberate
 # failure (corrupt documents, inconsistent protocol material, IO) exits 3.
-_USAGE_ERRORS = (CLIError, InvalidInputError, UnsupportedModeError)
+_USAGE_ERRORS = (CLIError, InvalidInputError)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +101,9 @@ def _distinct(flag: str, path: str | None, other_flag: str, other: str | None) -
 
 def _secret_bytes(text: str) -> bytes:
     try:
-        value = bytes.fromhex(text)
+        return bytes.fromhex(text)
     except ValueError as exc:
         raise CLIError(f"--secret must be hex, got {text!r}") from exc
-    if not value:
-        raise CLIError("--secret must be nonempty")
-    return value
 
 
 def _format_report(report: Any) -> str:

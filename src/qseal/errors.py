@@ -27,8 +27,10 @@ class ProtocolCorruptionError(QsealError):
     """A protocol object is internally inconsistent and cannot be processed."""
 
 
-class UnsupportedModeError(QsealError):
-    """The operation is not defined for this seal mode."""
+class UnsupportedModeError(InvalidInputError):
+    """The operation is not defined for this seal mode or challenge: an
+    undefined combination is an invalid argument, so this is an
+    InvalidInputError."""
 
 
 class DocumentError(QsealError):

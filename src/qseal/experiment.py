@@ -36,10 +36,9 @@ from .seal import (
     SealMode,
     VerifyMethod,
     branch_count,
-    challenge_defined,
+    check_challenge,
     check_width,
     cheat_draws,
-    compatible,
     draw_branches,
     draw_claw,
 )
@@ -108,23 +107,12 @@ class TrialConfig(Value):
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        if not compatible(self.strategy, self.return_kind):
+        check_challenge(self.strategy, self.return_kind, branch_count(self.mode))
+        if (self.return_kind is ReturnKind.QUANTUM) is (self.verify_method is None):
             raise InvalidInputError(
-                f"strategy {self.strategy.value} cannot answer a "
-                f"{self.return_kind.value} challenge"
+                "a quantum challenge needs a verify method and a classical one "
+                "takes none"
             )
-        if self.return_kind is ReturnKind.CLASSICAL:
-            if self.verify_method is not None:
-                raise InvalidInputError(
-                    "classical challenges have a fixed check and take no "
-                    "verify method"
-                )
-            if not challenge_defined(self.return_kind, branch_count(self.mode)):
-                raise InvalidInputError(
-                    "classical challenges are defined only for two branches"
-                )
-        elif self.verify_method is None:
-            raise InvalidInputError("quantum challenges need a verify_method")
         check_width(self.mode, self.bit_len)
 
     @property

@@ -131,19 +131,20 @@ class VerifyMethod(Enum):
     HELSTROM_PER_BRANCH = "helstrom"
 
 
-def compatible(strategy: CheatStrategy, kind: ReturnKind) -> bool:
-    """Which strategies can answer which challenge kinds."""
-    if strategy is CheatStrategy.HONEST:
-        return True
-    if strategy is CheatStrategy.MEASURE_GUESS_MASK:
-        return kind is ReturnKind.CLASSICAL
-    return kind is ReturnKind.QUANTUM
-
-
-def challenge_defined(kind: ReturnKind, k: int) -> bool:
-    """Whether a k-branch seal can take a ``kind`` challenge: the Hadamard
+def check_challenge(strategy: CheatStrategy, kind: ReturnKind, k: int) -> None:
+    """Raise UnsupportedModeError unless ``strategy`` can answer a ``kind``
+    challenge to a k-branch seal: a guessed mask answers only classical
+    challenges, a measured register only quantum ones, and the Hadamard
     check mask . (x1 xor x2) = 0 is defined only for two branches."""
-    return kind is ReturnKind.QUANTUM or k == 2
+    guesses = strategy is CheatStrategy.MEASURE_GUESS_MASK
+    if strategy is not CheatStrategy.HONEST and guesses is (kind is ReturnKind.QUANTUM):
+        raise UnsupportedModeError(
+            f"strategy {strategy.value} cannot answer a {kind.value} challenge"
+        )
+    if kind is ReturnKind.CLASSICAL and k != 2:
+        raise UnsupportedModeError(
+            "classical challenges are defined only for two-branch seals"
+        )
 
 
 class SealPackage(Value):
@@ -379,17 +380,11 @@ def bob_respond(
 
     The register travels back inside the message (quantum) or is consumed
     by the Hadamard measurement (classical); either way this call is the
-    single use of the package in a trial.  A classical challenge to a seal
-    of more than two branches raises UnsupportedModeError before any draw.
+    single use of the package in a trial.  A pair check_challenge refuses,
+    such as a classical challenge to a seal of more than two branches,
+    raises UnsupportedModeError before any draw.
     """
-    if not compatible(strategy, kind):
-        raise UnsupportedModeError(
-            f"strategy {strategy.value} cannot answer a {kind.value} challenge"
-        )
-    if not challenge_defined(kind, branch_count(package.mode)):
-        raise UnsupportedModeError(
-            "classical challenges are defined only for two-branch seals"
-        )
+    check_challenge(strategy, kind, branch_count(package.mode))
     register = package.register
     if strategy is CheatStrategy.HONEST:
         if kind is ReturnKind.QUANTUM:
@@ -495,11 +490,9 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
     For a two-branch seal every honest outcome satisfies
     mask . (x1 xor x2) = 0 over GF(2); accept exactly when that holds.
     The all-zero mask is a valid honest outcome and is accepted; a mask of
-    another width raises InvalidInputError.
+    another width raises InvalidInputError, and a record of another branch
+    count UnsupportedModeError (check_challenge).
     """
-    if not challenge_defined(ReturnKind.CLASSICAL, len(record.branches)):
-        raise UnsupportedModeError(
-            "classical verification is defined only for two-branch seals"
-        )
+    check_challenge(CheatStrategy.HONEST, ReturnKind.CLASSICAL, len(record.branches))
     x1, x2 = record.branches
     return mask.dot(x1 ^ x2) == 0

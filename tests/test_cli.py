@@ -138,7 +138,9 @@ class TestSealOpen:
         assert run(*base, "--k", "3") == 2  # missing --secret
         assert run(*base, "--secret", "aa") == 2  # missing --k
         assert run(*base, "--k", "3", "--secret", "zz") == 2  # not hex
+        assert run(*base, "--k", "3", "--secret=") == 2  # empty
         assert run(*base, "--k", "70", "--secret", "aa") == 2  # k out of range
+        assert list(tmp_path.iterdir()) == []
 
     def test_width_validation_flows_to_exit_two(self, tmp_path):
         assert (
@@ -499,6 +501,7 @@ class TestRespondVerify:
             )
             == 2
         )
+        assert not (tmp_path / "r.json").exists()
 
     def test_classical_verify_of_three_branch_secret_is_unsupported(
         self, nary_files, binary_files, tmp_path
@@ -782,6 +785,20 @@ class TestSimulate:
             assert run("simulate", *mode, "--bits", "-1", "--trials", "10") == 2
         assert run("simulate", "--mixture", "--bits", "-1", "--trials", "10") == 2
         capsys.readouterr()
+
+    def test_classical_run_needs_two_branches(self, tmp_path, capsys):
+        """A classical challenge to a seal of three branches is refused, for
+        every strategy, before a trial runs or a file is written."""
+        csv, report = tmp_path / "c.csv", tmp_path / "r.json"
+        for strategy in CheatStrategy:
+            assert run(
+                "simulate", "--mode", "nary", "--k", "3", "--kind", "classical",
+                "--strategy", strategy.value, "--trials", "10",
+                "--csv", str(csv), "--out-report", str(report),
+            ) == 2, strategy
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_trials_is_usage_error(self, capsys):
         assert run("simulate", "--trials", "0") == 2

@@ -20,7 +20,7 @@ import pytest
 
 from qseal import experiment, seal, sparsestate
 from qseal.bits import BitString
-from qseal.errors import InvalidInputError
+from qseal.errors import InvalidInputError, UnsupportedModeError
 from qseal.experiment import (
     CSV_HEADER,
     NARY_SECRET_BYTES,
@@ -53,6 +53,7 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_respond,
     branch_count,
+    check_challenge,
 )
 from qseal.sparsestate import (
     SparseState,
@@ -490,20 +491,30 @@ class TestTrialConfig:
                 verify_method=None,
             )
 
-    def test_only_classical_challenges_are_bound_to_two_branches(self):
+    def test_config_refuses_exactly_where_check_challenge_does(self):
+        """Every (strategy, kind) at k = 2, 3, 8, 64: TrialConfig builds
+        exactly the configurations check_challenge allows, and refuses the
+        others with its error."""
         for k in (2, 3, 8, 64):
-            config(mode=NarySymmetric(k), strategy=CheatStrategy.HONEST)
-            classical = dict(
-                mode=NarySymmetric(k),
-                strategy=CheatStrategy.HONEST,
-                return_kind=ReturnKind.CLASSICAL,
-                verify_method=None,
-            )
-            if k == 2:
-                config(**classical)
-            else:
-                with pytest.raises(InvalidInputError):
-                    config(**classical)
+            for strategy in CheatStrategy:
+                for kind in ReturnKind:
+                    fields = dict(
+                        mode=NarySymmetric(k),
+                        strategy=strategy,
+                        return_kind=kind,
+                        verify_method=(
+                            VerifyMethod.PROJECTIVE
+                            if kind is ReturnKind.QUANTUM
+                            else None
+                        ),
+                    )
+                    try:
+                        check_challenge(strategy, kind, k)
+                    except UnsupportedModeError:
+                        with pytest.raises(UnsupportedModeError):
+                            config(**fields)
+                    else:
+                        config(**fields)
 
     def test_classical_forbids_verify_method(self):
         with pytest.raises(InvalidInputError):
@@ -524,6 +535,7 @@ class TestTrialConfig:
         )
 
     def test_incompatible_strategy_kind(self):
+        assert issubclass(UnsupportedModeError, InvalidInputError)
         with pytest.raises(InvalidInputError):
             config(
                 strategy=CheatStrategy.MEASURE_GUESS_MASK,

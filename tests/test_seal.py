@@ -37,10 +37,9 @@ from qseal.seal import (
     bob_open,
     bob_respond,
     branch_count,
-    challenge_defined,
+    check_challenge,
     check_register,
     check_width,
-    compatible,
     draw_branches,
     quantum_verdict,
 )
@@ -442,42 +441,51 @@ class TestOpen:
 
 
 class TestRespond:
-    def test_strategy_kind_compatibility_table(self):
-        table = {
-            (CheatStrategy.HONEST, ReturnKind.QUANTUM): True,
-            (CheatStrategy.HONEST, ReturnKind.CLASSICAL): True,
-            (CheatStrategy.MEASURE_KEEP, ReturnKind.QUANTUM): True,
-            (CheatStrategy.MEASURE_KEEP, ReturnKind.CLASSICAL): False,
-            (CheatStrategy.MEASURE_RANDOM_STATE, ReturnKind.QUANTUM): True,
-            (CheatStrategy.MEASURE_RANDOM_STATE, ReturnKind.CLASSICAL): False,
-            (CheatStrategy.MEASURE_GUESS_MASK, ReturnKind.QUANTUM): False,
-            (CheatStrategy.MEASURE_GUESS_MASK, ReturnKind.CLASSICAL): True,
+    def test_challenge_rule_truth_table(self):
+        """check_challenge refuses a guessed mask for a quantum challenge, a
+        measured register for a classical one, and every classical challenge
+        to a seal of more than two branches; it allows everything else."""
+        answers = {
+            CheatStrategy.HONEST: {ReturnKind.QUANTUM, ReturnKind.CLASSICAL},
+            CheatStrategy.MEASURE_KEEP: {ReturnKind.QUANTUM},
+            CheatStrategy.MEASURE_RANDOM_STATE: {ReturnKind.QUANTUM},
+            CheatStrategy.MEASURE_GUESS_MASK: {ReturnKind.CLASSICAL},
         }
-        for (strategy, kind), expected in table.items():
-            assert compatible(strategy, kind) is expected
-
-    def test_classical_challenges_are_defined_only_for_two_branches(self):
-        for k in (1, 2, 3, 8, 64):
-            assert challenge_defined(ReturnKind.QUANTUM, k)
-            assert challenge_defined(ReturnKind.CLASSICAL, k) is (k == 2)
+        assert set(answers) == set(CheatStrategy)
+        for k in (2, 3, 8, 64):
+            for strategy in CheatStrategy:
+                for kind in ReturnKind:
+                    defined = kind in answers[strategy] and (
+                        kind is ReturnKind.QUANTUM or k == 2
+                    )
+                    if defined:
+                        check_challenge(strategy, kind, k)
+                    else:
+                        with pytest.raises(UnsupportedModeError):
+                            check_challenge(strategy, kind, k)
 
     def test_incompatible_pairs_raise(self):
-        """Incompatible pairs, and every classical challenge to a seal of
-        more than two branches, raise before any draw."""
+        """Every pair check_challenge refuses, among them every classical
+        challenge to a seal of more than two branches, raises before any
+        draw."""
         packages = [seal_binary(), *(seal_nary(k=k) for k in (2, 3, 8, 64))]
+        refused = 0
         for package, _ in packages:
             k = branch_count(package.mode)
             for strategy in CheatStrategy:
                 for kind in ReturnKind:
-                    if compatible(strategy, kind) and (
-                        kind is ReturnKind.QUANTUM or k == 2
-                    ):
+                    try:
+                        check_challenge(strategy, kind, k)
+                    except UnsupportedModeError:
+                        refused += 1
+                    else:
                         continue
                     rng = Random(0)
                     before = rng.getstate()
                     with pytest.raises(UnsupportedModeError):
                         bob_respond(package, strategy, kind, rng)
                     assert rng.getstate() == before, (package.mode, strategy, kind)
+        assert refused == 2 * 3 + 3 * 5
 
     def test_honest_quantum_returns_the_register_untouched(self):
         package, _ = seal_binary()
