@@ -35,7 +35,6 @@ from .seal import (
     ReturnKind,
     SealMode,
     VerifyMethod,
-    branch_count,
     check_challenge,
     check_width,
     cheat_draws,
@@ -107,8 +106,9 @@ class TrialConfig(Value):
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        check_challenge(self.strategy, self.return_kind, branch_count(self.mode))
-        if (self.return_kind is ReturnKind.QUANTUM) is (self.verify_method is None):
+        check_challenge(self.strategy, self.return_kind, self.mode.k)
+        wanted = VerifyMethod if self.return_kind is ReturnKind.QUANTUM else type(None)
+        if not isinstance(self.verify_method, wanted):
             raise InvalidInputError(
                 "a quantum challenge needs a verify method and a classical one "
                 "takes none"
@@ -199,7 +199,7 @@ def _trial_streams(prefix: hashlib._Hash, trials: int) -> Iterator[Random]:
 
 def theory_rate(config: TrialConfig) -> float:
     """Exact expected rate for the configured statistic."""
-    k = branch_count(config.mode)
+    k = config.mode.k
     if config.return_kind is ReturnKind.CLASSICAL:
         if config.strategy is CheatStrategy.HONEST:
             return 1.0
@@ -262,7 +262,7 @@ def run_trials(config: TrialConfig) -> EstimateReport:
     sealing, responding and verifying through the public roles on that
     stream.
     """
-    k, method = branch_count(config.mode), config.verify_method
+    k, method = config.mode.k, config.verify_method
     params = TcfParams(config.bit_len) if isinstance(config.mode, BinaryTcf) else None
     table = None if method is None else _class_table(k, method)
     prefix = _stream_hash(config.seed, "trial")

@@ -58,10 +58,12 @@ class BinaryTcf(Value):
     """Two branches forming a claw of a committed 2-to-1 function."""
 
     __slots__ = ()
+    k = 2  # a class constant, not a field: every binary seal has two branches
 
 
 class NarySymmetric(Value):
-    """k random branches, each keying a ciphertext of the secret."""
+    """k random branches, each keying a ciphertext of the secret.  A k outside
+    [2, MAX_BRANCHES] or not an int (3.0; True is 1) is InvalidInputError."""
 
     __slots__ = ("k",)
 
@@ -70,17 +72,13 @@ class NarySymmetric(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not 2 <= self.k <= MAX_BRANCHES:
+        if not isinstance(self.k, int) or not 2 <= self.k <= MAX_BRANCHES:
             raise InvalidInputError(
-                f"branch count must be in [2, {MAX_BRANCHES}], got {self.k}"
+                f"branch count must be in [2, {MAX_BRANCHES}], got {self.k!r}"
             )
 
 
 SealMode = BinaryTcf | NarySymmetric
-
-
-def branch_count(mode: SealMode) -> int:
-    return 2 if isinstance(mode, BinaryTcf) else mode.k
 
 
 def check_width(mode: SealMode, bit_len: int) -> None:
@@ -101,8 +99,8 @@ def check_width(mode: SealMode, bit_len: int) -> None:
 
 def check_register(mode: SealMode, state: SparseState) -> None:
     """Raise InvalidInputError unless ``state`` is a register ``mode`` seals:
-    k = ``branch_count(mode)`` branches, each with amplitude 1/sqrt(k)."""
-    k = branch_count(mode)
+    k = ``mode.k`` branches, each with amplitude 1/sqrt(k)."""
+    k = mode.k
     if state.num_branches != k:
         raise InvalidInputError(f"register must have {k} branches")
     expected_amp = 1.0 / math.sqrt(k)
@@ -135,7 +133,10 @@ def check_challenge(strategy: CheatStrategy, kind: ReturnKind, k: int) -> None:
     """Raise UnsupportedModeError unless ``strategy`` can answer a ``kind``
     challenge to a k-branch seal: a guessed mask answers only classical
     challenges, a measured register only quantum ones, and the Hadamard
-    check mask . (x1 xor x2) = 0 is defined only for two branches."""
+    check mask . (x1 xor x2) = 0 is defined only for two branches.  A
+    strategy or kind that is no member (its string value) is InvalidInputError."""
+    if not (isinstance(strategy, CheatStrategy) and isinstance(kind, ReturnKind)):
+        raise InvalidInputError(f"unknown strategy {strategy!r} or kind {kind!r}")
     guesses = strategy is CheatStrategy.MEASURE_GUESS_MASK
     if strategy is not CheatStrategy.HONEST and guesses is (kind is ReturnKind.QUANTUM):
         raise UnsupportedModeError(
@@ -384,7 +385,7 @@ def bob_respond(
     such as a classical challenge to a seal of more than two branches,
     raises UnsupportedModeError before any draw.
     """
-    check_challenge(strategy, kind, branch_count(package.mode))
+    check_challenge(strategy, kind, package.mode.k)
     register = package.register
     if strategy is CheatStrategy.HONEST:
         if kind is ReturnKind.QUANTUM:
@@ -463,10 +464,12 @@ def acceptance_probability(
 
     A return equal to the original up to a global sign is accepted with
     probability 1.0 exactly by both methods: amplitudes are real, so -psi is
-    the state psi.  A state of another width raises InvalidInputError.
-    inner_product is symmetric bit for bit, so one overlap serves as
-    <original|returned> and <returned|original>.
+    the state psi.  A state of another width, or a method not in VerifyMethod,
+    raises InvalidInputError.  inner_product is symmetric bit for bit, so one
+    overlap serves as <original|returned> and <returned|original>.
     """
+    if not isinstance(method, VerifyMethod):
+        raise InvalidInputError(f"unknown verify method {method!r}")
     if original.bit_len != returned.bit_len:
         raise InvalidInputError(
             f"returned width {returned.bit_len} does not match "
@@ -493,6 +496,6 @@ def alice_verify_classical(record: AliceSecret, mask: BitString) -> bool:
     another width raises InvalidInputError, and a record of another branch
     count UnsupportedModeError (check_challenge).
     """
-    check_challenge(CheatStrategy.HONEST, ReturnKind.CLASSICAL, len(record.branches))
+    check_challenge(CheatStrategy.HONEST, ReturnKind.CLASSICAL, record.mode.k)
     x1, x2 = record.branches
     return mask.dot(x1 ^ x2) == 0

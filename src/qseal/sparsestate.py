@@ -75,9 +75,6 @@ class SparseState(Value):
     def branches(self) -> tuple[BitString, ...]:
         return tuple(self.terms)
 
-    def amplitude(self, key: BitString) -> float:
-        return self.terms.get(key, 0.0)
-
     def isclose(self, other: SparseState) -> bool:
         """True when the states agree within AMP_TOL on every basis string.
 

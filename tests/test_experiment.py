@@ -52,7 +52,6 @@ from qseal.seal import (
     alice_verify_classical,
     alice_verify_quantum,
     bob_respond,
-    branch_count,
     check_challenge,
 )
 from qseal.sparsestate import (
@@ -333,7 +332,7 @@ class TestExactRates:
                 _, record = alice_seal_nary(mode.k, b"exact", bit_len, rng)
             yield record.original_state
         yield uniform_superposition(
-            BitString(bit_len, v) for v in range(branch_count(mode))
+            BitString(bit_len, v) for v in range(mode.k)
         )
 
     @pytest.mark.parametrize("bit_len", [16, 64])
@@ -374,7 +373,7 @@ class TestExactRates:
         their 4k-floor width and at MAX_BIT_LEN."""
         found: dict[tuple[int, VerifyMethod, int], set[str]] = {}
         for mode in self.MODES:
-            k = branch_count(mode)
+            k = mode.k
             widths = [16, 64]
             if isinstance(mode, NarySymmetric) and k in (2, 5, 17, 64):
                 widths += [(4 * k - 1).bit_length(), MAX_BIT_LEN]
@@ -543,6 +542,19 @@ class TestTrialConfig:
             )
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            *(("strategy", member.value) for member in CheatStrategy),
+            *(("return_kind", member.value) for member in ReturnKind),
+            *(("verify_method", member.value) for member in VerifyMethod),
+        ],
+    )
+    def test_refuses_the_string_value_of_a_member(self, field, value):
+        """The string value of any member is refused, so no run starts."""
+        with pytest.raises(InvalidInputError, match="unknown|verify method"):
+            config(mode=NarySymmetric(4), **{field: value})
+
+    @pytest.mark.parametrize(
         "mode, bit_len",
         [
             (NarySymmetric(2), -1),
@@ -660,7 +672,7 @@ def run_state(cfg: TrialConfig):
     params = TcfParams(cfg.bit_len) if isinstance(cfg.mode, BinaryTcf) else None
     if cfg.verify_method is None:
         return params, None
-    return params, _class_table(branch_count(cfg.mode), cfg.verify_method)
+    return params, _class_table(cfg.mode.k, cfg.verify_method)
 
 
 class TestTrialKernel:

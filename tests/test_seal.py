@@ -36,7 +36,6 @@ from qseal.seal import (
     alice_verify_quantum,
     bob_open,
     bob_respond,
-    branch_count,
     check_challenge,
     check_register,
     check_width,
@@ -471,7 +470,7 @@ class TestRespond:
         packages = [seal_binary(), *(seal_nary(k=k) for k in (2, 3, 8, 64))]
         refused = 0
         for package, _ in packages:
-            k = branch_count(package.mode)
+            k = package.mode.k
             for strategy in CheatStrategy:
                 for kind in ReturnKind:
                     try:
@@ -541,6 +540,55 @@ class TestRespond:
         )
         assert isinstance(message, ClassicalReturn)
         assert message.mask.bit_len == 16
+
+
+# ---------------------------------------------------------------------------
+# enum members, not their string values
+# ---------------------------------------------------------------------------
+
+
+class TestStringsForMembers:
+    """A role given the string value of an enum member, or an n-ary branch
+    count that is not an int, raises InvalidInputError before any draw
+    instead of running another branch of its code."""
+
+    @pytest.mark.parametrize(
+        "strategy, kind",
+        [
+            *((member.value, kind) for member in CheatStrategy for kind in ReturnKind),
+            *((strategy, member.value) for strategy in CheatStrategy
+              for member in ReturnKind),
+        ],
+    )
+    def test_bob_respond(self, strategy, kind):
+        package, _ = seal_binary()
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(InvalidInputError, match="unknown strategy"):
+            bob_respond(package, strategy, kind, rng)
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("method", [member.value for member in VerifyMethod])
+    def test_acceptance_probability(self, method):
+        package, record = seal_nary(k=4)
+        kept = singleton(package.register.branches[0])
+        with pytest.raises(InvalidInputError, match="unknown verify method"):
+            acceptance_probability(record.original_state, kept, method)
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(InvalidInputError, match="unknown verify method"):
+            alice_verify_quantum(record, kept, method, rng)
+        assert rng.getstate() == before
+
+    @pytest.mark.parametrize("k", [3.0, 3.5, "3", None, True, False])
+    def test_nary_branch_count(self, k):
+        with pytest.raises(InvalidInputError, match="branch count"):
+            NarySymmetric(k)
+        rng = Random(0)
+        before = rng.getstate()
+        with pytest.raises(InvalidInputError, match="branch count"):
+            alice_seal_nary(k, b"x", 16, rng)
+        assert rng.getstate() == before
 
 
 # ---------------------------------------------------------------------------

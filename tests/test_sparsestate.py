@@ -141,7 +141,7 @@ class TestConstruction:
     def test_signed_amplitudes_are_allowed(self):
         amp = 1.0 / math.sqrt(2.0)
         state = SparseState(4, {bs(4, 1): amp, bs(4, 2): -amp})
-        assert state.amplitude(bs(4, 2)) == -amp
+        assert state.terms[bs(4, 2)] == -amp
 
     def test_uniform_superposition_rejects_duplicates(self):
         with pytest.raises(InvalidInputError):

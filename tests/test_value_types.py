@@ -141,6 +141,16 @@ def test_fields_live_in_slots_with_no_instance_dict(name):
     assert not hasattr(obj, "__dict__")
 
 
+def test_binary_branch_count_is_a_class_constant_not_a_field():
+    mode = BinaryTcf()
+    assert mode.k == BinaryTcf.k == 2
+    assert BinaryTcf._fields == () and repr(mode) == "BinaryTcf()"
+    for change in (lambda: setattr(mode, "k", 3), lambda: delattr(mode, "k")):
+        with pytest.raises(AttributeError):
+            change()
+    assert mode.k == 2 and mode == BinaryTcf()
+
+
 @pytest.mark.parametrize("name", TYPES)
 def test_equal_fields_give_equal_objects_and_hashes(name):
     _, make, args = TYPES[name]
