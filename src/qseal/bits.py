@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from functools import total_ordering
 from random import Random
+from typing import Any
 
 from .errors import InvalidInputError
-from .value import Value, set_field
+from .value import Value, check_int, set_field
 
 
 @total_ordering
@@ -25,12 +26,8 @@ class BitString(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.bit_len < 1:
-            raise InvalidInputError(f"bit_len must be >= 1, got {self.bit_len}")
-        if not 0 <= self.value < (1 << self.bit_len):
-            raise InvalidInputError(
-                f"value {self.value:#x} does not fit in {self.bit_len} bits"
-            )
+        check_int("bit_len", self.bit_len, 1)
+        check_int("value", self.value, 0, (1 << self.bit_len) - 1)
 
     # Value's comparisons, spelled out for the two fields: bit strings are
     # built, compared and hashed on every protocol step.
@@ -48,18 +45,12 @@ class BitString(Value):
         return NotImplemented
 
     def __xor__(self, other: BitString) -> BitString:
-        if other.bit_len != self.bit_len:
-            raise InvalidInputError(
-                f"width mismatch: {self.bit_len} vs {other.bit_len}"
-            )
+        check_same_width(self, other)
         return BitString(self.bit_len, self.value ^ other.value)
 
     def dot(self, other: BitString) -> int:
         """Inner product over GF(2): parity of the AND of the two values."""
-        if other.bit_len != self.bit_len:
-            raise InvalidInputError(
-                f"width mismatch: {self.bit_len} vs {other.bit_len}"
-            )
+        check_same_width(self, other)
         return (self.value & other.value).bit_count() & 1
 
     def encode(self) -> bytes:
@@ -73,8 +64,7 @@ class BitString(Value):
 
     @classmethod
     def from_hex(cls, bit_len: int, text: str) -> BitString:
-        if bit_len < 1:
-            raise InvalidInputError(f"bit_len must be >= 1, got {bit_len}")
+        check_int("bit_len", bit_len, 1)
         expected = (bit_len + 3) // 4
         if len(text) != expected:
             raise InvalidInputError(
@@ -89,9 +79,15 @@ class BitString(Value):
 
     @classmethod
     def random(cls, bit_len: int, rng: Random) -> BitString:
-        if bit_len < 1:
-            raise InvalidInputError(f"bit_len must be >= 1, got {bit_len}")
+        check_int("bit_len", bit_len, 1)
         return cls(bit_len, rng.getrandbits(bit_len))
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.bit_len}b")
+
+
+def check_same_width(a: Any, b: Any) -> None:
+    """Raise InvalidInputError unless ``a`` and ``b``, bit strings or sparse
+    states, share one width."""
+    if a.bit_len != b.bit_len:
+        raise InvalidInputError(f"width mismatch: {a.bit_len} vs {b.bit_len}")

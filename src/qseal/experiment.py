@@ -43,7 +43,7 @@ from .seal import (
 )
 from .sparsestate import _orthogonal_mask, helstrom_p_report_h0
 from .tcf import TcfParams
-from .value import Value, set_field
+from .value import Value, check_int, set_field
 
 Z95 = 1.959963984540054
 
@@ -52,16 +52,17 @@ NARY_SECRET_BYTES = 16
 
 CSV_HEADER = "k,p_theory,p_hat,ci_low,ci_high,trials"
 
+# Master seeds are signed 64-bit ints.
+SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
+
 _pack_index = struct.Struct(">cq").pack  # a stream's b"i" and index
 _unpack_seed = struct.Struct(">Q").unpack_from  # its seed: 8 digest bytes
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise InvalidInputError("successes must lie in [0, trials]")
+    check_int("trials", trials, 1)
+    check_int("successes", successes, 0, trials)
     p_hat = successes / trials
     z = Z95
     denom = 1.0 + z * z / trials
@@ -79,8 +80,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def theory_pcheck(k: int) -> float:
     """Closed-form per-branch detection probability for k branches."""
-    if not k >= 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)
     return 0.5 + 0.5 * math.sqrt(1.0 - 1.0 / k)
 
 
@@ -104,8 +104,9 @@ class TrialConfig(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
+        check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, *SEED_RANGE)
+        check_width(self.mode, self.bit_len)
         check_challenge(self.strategy, self.return_kind, self.mode.k)
         wanted = VerifyMethod if self.return_kind is ReturnKind.QUANTUM else type(None)
         if not isinstance(self.verify_method, wanted):
@@ -113,7 +114,6 @@ class TrialConfig(Value):
                 "a quantum challenge needs a verify method and a classical one "
                 "takes none"
             )
-        check_width(self.mode, self.bit_len)
 
     @property
     def statistic(self) -> str:
@@ -160,12 +160,8 @@ def _stream_hash(master_seed: int, label: str) -> hashlib._Hash:
     _stream_seed extends it by an index into one stream's seed; a run hashes
     its (seed, label) prefix once and branches it per trial.
     """
-    try:
-        h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
-    except struct.error as exc:
-        raise InvalidInputError(
-            f"seed must be in [-2^63, 2^63), got {master_seed}"
-        ) from exc
+    check_int("seed", master_seed, *SEED_RANGE)
+    h = hashlib.sha256(b"qseal/rng" + struct.pack(">q", master_seed))
     data = label.encode()
     h.update(b"s" + struct.pack(">I", len(data)) + data)
     return h
@@ -291,8 +287,8 @@ def fig1_curve(
     no library or CLI path passes it, and it goes once the benchmark stops
     passing it (ROADMAP item 1).
     """
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
+    check_int("workers", workers, 1)
+    check_int("trials_per_point", trials_per_point, 1)
     check_width(NarySymmetric(k_max), bit_len)  # then every smaller k fits too
     return [
         run_trials(
@@ -339,6 +335,7 @@ def mixture_diagnostic(
     verdict reads the run's class table; widths run from 3 to MAX_BIT_LEN.
     """
     check_width(NarySymmetric(2), bit_len)
+    check_int("trials", trials, 1)
     prefix = _stream_hash(seed, "mixture")
     p_honest, p_kept, _ = _class_table(2, VerifyMethod.PROJECTIVE)
     successes = 0

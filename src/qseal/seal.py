@@ -42,7 +42,7 @@ from .sparsestate import (
 )
 from .symcrypto import Ciphertext, enc, find_and_dec, key_tag
 from .tcf import TcfOracle, TcfParams, keygen
-from .value import Value, set_field
+from .value import Value, check_int, set_field
 
 # Upper bound on superposition branches in n-ary mode.
 MAX_BRANCHES = 64
@@ -63,7 +63,7 @@ class BinaryTcf(Value):
 
 class NarySymmetric(Value):
     """k random branches, each keying a ciphertext of the secret.  A k outside
-    [2, MAX_BRANCHES] or not an int (3.0; True is 1) is InvalidInputError."""
+    [2, MAX_BRANCHES] or not an int (3.0, True) is InvalidInputError."""
 
     __slots__ = ("k",)
 
@@ -72,29 +72,24 @@ class NarySymmetric(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or not 2 <= self.k <= MAX_BRANCHES:
-            raise InvalidInputError(
-                f"branch count must be in [2, {MAX_BRANCHES}], got {self.k!r}"
-            )
+        check_int("branch count", self.k, 2, MAX_BRANCHES)
 
 
 SealMode = BinaryTcf | NarySymmetric
 
 
 def check_width(mode: SealMode, bit_len: int) -> None:
-    """Raise InvalidInputError unless ``bit_len``-bit branches can carry ``mode``:
-    binary widths are those TcfParams takes, n-ary widths at most MAX_BIT_LEN."""
+    """Raise InvalidInputError unless ``mode`` is a seal mode and ``bit_len``-bit
+    branches can carry it: binary widths are those TcfParams takes, n-ary
+    widths those with 2^bit_len >= 4k, up to MAX_BIT_LEN."""
     if isinstance(mode, BinaryTcf):
         TcfParams(bit_len)
-        return
-    if bit_len > MAX_BIT_LEN:
-        raise InvalidInputError(f"bit_len {bit_len} exceeds the maximum {MAX_BIT_LEN}")
-    if bit_len < (4 * mode.k - 1).bit_length():
-        # That is 2^bit_len < 4k, negative widths included.  The 4k floor
-        # keeps rejection sampling of distinct branches fast and collisions rare.
-        raise InvalidInputError(
-            f"bit_len {bit_len} too small for {mode.k} branches; need 2^bit_len >= 4k"
-        )
+    elif isinstance(mode, NarySymmetric):
+        # The floor is the least width with 2^bit_len >= 4k, which keeps
+        # rejection sampling of distinct branches fast and collisions rare.
+        check_int("bit_len", bit_len, (4 * mode.k - 1).bit_length(), MAX_BIT_LEN)
+    else:
+        raise InvalidInputError(f"not a seal mode: {mode!r}")
 
 
 def check_register(mode: SealMode, state: SparseState) -> None:
@@ -174,6 +169,7 @@ class SealPackage(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        check_int("bit_len", self.bit_len, 1)
         if self.register.bit_len != self.bit_len:
             raise InvalidInputError("register width does not match bit_len")
         check_register(self.mode, self.register)
@@ -325,8 +321,9 @@ def alice_seal_nary(
     computational-basis readout of the register opens the seal.
     """
     mode = NarySymmetric(k)
-    if not secret:
-        raise InvalidInputError("secret must be nonempty")
+    # bytes only: the record hashes the secret and its document writes hex.
+    if not isinstance(secret, bytes) or not secret:
+        raise InvalidInputError("secret must be nonempty bytes")
     check_width(mode, bit_len)
     chosen = [BitString(bit_len, value) for value in draw_branches(k, bit_len, rng)]
     register = uniform_superposition(chosen)
@@ -425,21 +422,12 @@ def alice_verify_quantum(
     """Test a returned register against the retained original.  True = accept.
 
     Accepts with acceptance_probability(record.original_state, returned,
-    method), on one rng.random() draw.  A state of another width raises
-    InvalidInputError before any draw.
+    method), on one rng.random() draw; the record is read for its original
+    state alone.  A state of another width raises InvalidInputError before
+    any draw.
     """
-    return quantum_verdict(record.original_state, returned, method, rng)
-
-
-def quantum_verdict(
-    original: SparseState,
-    returned: SparseState,
-    method: VerifyMethod,
-    rng: Random,
-) -> bool:
-    """Core of alice_verify_quantum: reads only the original state."""
     # Before the draw, so that a width error leaves rng untouched.
-    p_accept = acceptance_probability(original, returned, method)
+    p_accept = acceptance_probability(record.original_state, returned, method)
     return rng.random() < p_accept
 
 

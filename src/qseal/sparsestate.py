@@ -18,9 +18,9 @@ from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .bits import BitString
+from .bits import BitString, check_same_width
 from .errors import InvalidInputError, UnsupportedModeError
-from .value import Value, set_field
+from .value import Value, check_int, set_field
 
 # Tolerance for the sum of squared amplitudes.
 NORM_TOL = 1e-9
@@ -39,8 +39,7 @@ class SparseState(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.bit_len < 1:
-            raise InvalidInputError(f"bit_len must be >= 1, got {self.bit_len}")
+        check_int("bit_len", self.bit_len, 1)
         if not self.terms:
             raise InvalidInputError("state needs at least one term")
         norm_sq = 0.0
@@ -105,10 +104,7 @@ def uniform_superposition(strings: Iterable[BitString]) -> SparseState:
 
 
 def inner_product(a: SparseState, b: SparseState) -> float:
-    if a.bit_len != b.bit_len:
-        raise InvalidInputError(
-            f"width mismatch: {a.bit_len} vs {b.bit_len}"
-        )
+    check_same_width(a, b)
     if len(b.terms) < len(a.terms):
         a, b = b, a
     return sum(amp * b.terms.get(key, 0.0) for key, amp in a.terms.items())

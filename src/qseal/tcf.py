@@ -29,7 +29,7 @@ from random import Random
 
 from .bits import BitString
 from .errors import InvalidInputError
-from .value import Value, set_field
+from .value import Value, check_int, set_field
 
 SALT_BYTES = 16
 IMAGE_BITS = 256
@@ -47,10 +47,7 @@ class TcfParams(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not 2 <= self.bit_len <= IMAGE_BITS // 2:
-            raise InvalidInputError(
-                f"bit_len must be in [2, {IMAGE_BITS // 2}], got {self.bit_len}"
-            )
+        check_int("bit_len", self.bit_len, 2, IMAGE_BITS // 2)
 
 
 class TcfOracle(Value):

@@ -21,12 +21,21 @@ def test_width_and_range_are_enforced():
     assert BitString(4, 15).value == 15
 
 
+def test_a_value_past_a_wide_width_is_refused_in_hex():
+    """Past 64 bits the refusal shows the bound and the value in hex: the
+    decimal str() of an int past 4300 digits raises ValueError (Python 3.11
+    on).  Here a hex field of 5001 digits overflows 20001 bits."""
+    message = r"^value must be an int in \[0, 0x1f{5000}\], got 0xf{5001}$"
+    with pytest.raises(InvalidInputError, match=message):
+        BitString.from_hex(20001, "f" * 5001)
+
+
 def test_xor_and_dot_require_equal_widths():
     a = BitString(8, 0b1010_1010)
     b = BitString(9, 0b1_0000_0000)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^width mismatch: 8 vs 9$"):
         a ^ b
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^width mismatch: 8 vs 9$"):
         a.dot(b)
 
 

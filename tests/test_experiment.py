@@ -932,17 +932,24 @@ class TestStreamPrefix:
         # Equal generator states: every draw of the trial agrees.
         assert states == expected
 
-    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 16.0, "16", True, None])
     def test_an_out_of_range_seed_fails_before_any_trial(self, monkeypatch, seed):
+        """Seeds are ints in [-2^63, 2^63): a TrialConfig refuses any other at
+        construction, and mixture_diagnostic and fig1_curve before a trial."""
+
         def refuse(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(experiment, "_trial_streams", refuse)
-        message = re.escape(f"seed must be in [-2^63, 2^63), got {seed}")
+        message = re.escape(
+            f"seed must be an int in [{-(2**63)}, {2**63 - 1}], got {seed!r}"
+        )
         with pytest.raises(InvalidInputError, match=message):
-            run_trials(config(trials=5, seed=seed))
+            config(trials=5, seed=seed)
         with pytest.raises(InvalidInputError, match=message):
             mixture_diagnostic(trials=5, seed=seed)
+        with pytest.raises(InvalidInputError, match=message):
+            fig1_curve(3, 5, seed=seed)
 
 
 # ---------------------------------------------------------------------------

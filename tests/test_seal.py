@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,6 @@ from qseal.seal import (
     check_register,
     check_width,
     draw_branches,
-    quantum_verdict,
 )
 from qseal.sparsestate import (
     SparseState,
@@ -580,7 +580,7 @@ class TestStringsForMembers:
             alice_verify_quantum(record, kept, method, rng)
         assert rng.getstate() == before
 
-    @pytest.mark.parametrize("k", [3.0, 3.5, "3", None, True, False])
+    @pytest.mark.parametrize("k", [3.0, 3.5, "3", 16.0, "16", None, True, False])
     def test_nary_branch_count(self, k):
         with pytest.raises(InvalidInputError, match="branch count"):
             NarySymmetric(k)
@@ -686,6 +686,13 @@ def negated(state: SparseState) -> SparseState:
     return SparseState(state.bit_len, {k: -a for k, a in state.terms.items()})
 
 
+def quantum_verdict(original, returned, method, rng):
+    """alice_verify_quantum against any original state: it reads the record
+    for its original_state alone, so a namespace holding the state serves."""
+    record = SimpleNamespace(original_state=original)
+    return alice_verify_quantum(record, returned, method, rng)
+
+
 class TestHonestReturnAcceptedExactly:
     """An unchanged register is accepted on every draw, the largest included:
     its acceptance probability is 1.0, not a float sum of k squares a few
@@ -719,7 +726,8 @@ class TestHonestReturnAcceptedExactly:
             )
 
 
-# Reference copies of helstrom_discriminate and quantum_verdict.  The
+# Reference copies of helstrom_discriminate and of alice_verify_quantum's
+# verdict, which quantum_verdict above runs on arbitrary states.  The
 # reference verdict encodes the rule of one acceptance probability and one
 # draw: one width check, then a return close to the original or to its
 # negation draws once and accepts (the projective path used to draw against

@@ -374,7 +374,7 @@ class TestTraceDistance:
             assert abs(trace_distance(state, branch) - expected) < 1e-12
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^width mismatch: 4 vs 5$"):
             inner_product(uniform(4, 1), uniform(5, 1))
 
     @given(st.data())
