@@ -87,7 +87,8 @@ class BitString(Value):
 
 
 def check_same_width(a: Any, b: Any) -> None:
-    """Raise InvalidInputError unless ``a`` and ``b``, bit strings or sparse
-    states, share one width."""
+    """Raise InvalidInputError unless ``a`` and ``b``, anything with a
+    ``bit_len`` (bit strings, states, TcfParams, seal packages), share one
+    width: the one check of every width agreement."""
     if a.bit_len != b.bit_len:
         raise InvalidInputError(f"width mismatch: {a.bit_len} vs {b.bit_len}")

@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import attrgetter
 from random import Random
 
-from .bits import BitString
+from .bits import BitString, check_same_width
 from .errors import (
     AmbiguousTagError,
     InvalidInputError,
@@ -170,8 +170,7 @@ class SealPackage(Value):
 
     def __post_init__(self) -> None:
         check_int("bit_len", self.bit_len, 1)
-        if self.register.bit_len != self.bit_len:
-            raise InvalidInputError("register width does not match bit_len")
+        check_same_width(self.register, self)
         check_register(self.mode, self.register)
         if isinstance(self.mode, BinaryTcf):
             if self.tcf is None or self.ciphertexts is not None:
@@ -181,11 +180,7 @@ class SealPackage(Value):
             # eval(x) hashes min(x, x ^ shift): distinct branches share an
             # image exactly when they differ by the shift.  eval also refuses
             # inputs of another width, so that check comes first.
-            width = self.tcf.params.bit_len
-            if self.bit_len != width:
-                raise InvalidInputError(
-                    f"input width {self.bit_len} does not match instance width {width}"
-                )
+            check_same_width(self, self.tcf.params)
             first, second = self.register.branches
             if first.value ^ second.value != self.tcf.shift.value:
                 raise ProtocolCorruptionError(
@@ -452,17 +447,13 @@ def acceptance_probability(
 
     A return equal to the original up to a global sign is accepted with
     probability 1.0 exactly by both methods: amplitudes are real, so -psi is
-    the state psi.  A state of another width, or a method not in VerifyMethod,
-    raises InvalidInputError.  inner_product is symmetric bit for bit, so one
-    overlap serves as <original|returned> and <returned|original>.
+    the state psi.  A state of another width (inner_product's check), or a
+    method not in VerifyMethod, raises InvalidInputError.  inner_product is
+    symmetric bit for bit, so one overlap serves as <original|returned> and
+    <returned|original>.
     """
     if not isinstance(method, VerifyMethod):
         raise InvalidInputError(f"unknown verify method {method!r}")
-    if original.bit_len != returned.bit_len:
-        raise InvalidInputError(
-            f"returned width {returned.bit_len} does not match "
-            f"original width {original.bit_len}"
-        )
     if returned.isclose(original):
         return 1.0
     overlap = inner_product(original, returned)

@@ -44,10 +44,14 @@ class SparseState(Value):
             raise InvalidInputError("state needs at least one term")
         norm_sq = 0.0
         for key, amp in self.terms.items():
-            if key.bit_len != self.bit_len:
-                raise InvalidInputError(
-                    f"term {key} has width {key.bit_len}, state has {self.bit_len}"
-                )
+            if not isinstance(key, BitString):
+                raise InvalidInputError(f"term key {key!r} is not a BitString")
+            check_same_width(key, self)
+            # A float, the common case, passes on its type() alone.
+            if type(amp) is not float and (
+                not isinstance(amp, (int, float)) or isinstance(amp, bool)
+            ):
+                raise InvalidInputError(f"amplitude {amp!r} is not an int or float")
             if amp == 0.0:
                 raise InvalidInputError(f"term {key} has zero amplitude")
             norm_sq += amp * amp
@@ -183,8 +187,8 @@ def helstrom_discriminate(
     any component of truth outside that span is resolved by a fair coin,
     as is the degenerate case where h0 and h1 differ only by a global sign.
     """
-    if not (truth.bit_len == h0.bit_len == h1.bit_len):
-        raise InvalidInputError("all three states must share one width")
+    check_same_width(truth, h0)
+    check_same_width(h0, h1)
     if h0.isclose(h1):
         raise InvalidInputError("hypotheses are identical; nothing to discriminate")
     p_report_h0 = helstrom_p_report_h0(

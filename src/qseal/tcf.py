@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from random import Random
 
-from .bits import BitString
+from .bits import BitString, check_same_width
 from .errors import InvalidInputError
 from .value import Value, check_int, set_field
 
@@ -69,21 +69,16 @@ class TcfOracle(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.shift.bit_len != self.params.bit_len:
-            raise InvalidInputError("shift width must match params.bit_len")
+        check_same_width(self.shift, self.params)
         if self.shift.value == 0:
             raise InvalidInputError("shift must be nonzero")
-        if len(self.salt) != SALT_BYTES:
+        if not isinstance(self.salt, bytes) or len(self.salt) != SALT_BYTES:
             raise InvalidInputError(f"salt must be {SALT_BYTES} bytes")
 
     def eval(self, x: BitString) -> bytes:
-        width = self.params.bit_len
-        if x.bit_len != width:
-            raise InvalidInputError(
-                f"input width {x.bit_len} does not match instance width {width}"
-            )
+        check_same_width(x, self.params)
         canonical = min(x.value, x.value ^ self.shift.value)
-        material = BitString(width, canonical).encode()
+        material = BitString(x.bit_len, canonical).encode()
         return hashlib.sha256(_EVAL_PREFIX + self.salt + material).digest()
 
 

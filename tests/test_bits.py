@@ -1,4 +1,4 @@
-"""BitString construction, GF(2) algebra, and encodings."""
+"""BitString construction, GF(2) algebra, encodings, and the one width check."""
 
 from __future__ import annotations
 
@@ -9,6 +9,24 @@ from hypothesis import given, strategies as st
 
 from qseal.bits import BitString
 from qseal.errors import InvalidInputError
+from qseal.seal import (
+    AliceSecret,
+    BinaryTcf,
+    SealPackage,
+    VerifyMethod,
+    acceptance_probability,
+    alice_seal_binary,
+    alice_verify_classical,
+    alice_verify_quantum,
+)
+from qseal.sparsestate import (
+    SparseState,
+    helstrom_discriminate,
+    inner_product,
+    singleton,
+    uniform_superposition,
+)
+from qseal.tcf import TcfOracle, TcfParams
 
 
 def test_width_and_range_are_enforced():
@@ -30,13 +48,97 @@ def test_a_value_past_a_wide_width_is_refused_in_hex():
         BitString.from_hex(20001, "f" * 5001)
 
 
-def test_xor_and_dot_require_equal_widths():
-    a = BitString(8, 0b1010_1010)
-    b = BitString(9, 0b1_0000_0000)
+class NoDrawRandom(Random):
+    """A generator that fails on any draw."""
+
+    def random(self) -> float:
+        raise AssertionError("drew random()")
+
+    def getrandbits(self, k: int) -> int:
+        raise AssertionError("drew getrandbits()")
+
+
+EIGHT, NINE = BitString(8, 0b1010_1010), BitString(9, 0b1_0000_0000)
+
+
+def oracle(bit_len: int) -> TcfOracle:
+    return TcfOracle(TcfParams(bit_len), bytes(16), BitString(bit_len, 1))
+
+
+def claw(bit_len: int) -> SparseState:
+    """A register of oracle(bit_len): its branches 2 and 3 differ by the shift."""
+    return uniform_superposition((BitString(bit_len, 2), BitString(bit_len, 3)))
+
+
+def record(bit_len: int) -> AliceSecret:
+    return alice_seal_binary(TcfParams(bit_len), Random(0))[1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: EIGHT ^ NINE, id="xor"),
+        pytest.param(lambda: EIGHT.dot(NINE), id="dot"),
+        pytest.param(
+            lambda: inner_product(singleton(EIGHT), singleton(NINE)),
+            id="inner_product",
+        ),
+        pytest.param(lambda: SparseState(9, {EIGHT: 1.0}), id="SparseState-term"),
+        pytest.param(
+            lambda: TcfOracle(TcfParams(9), bytes(16), BitString(8, 1)),
+            id="TcfOracle-shift",
+        ),
+        pytest.param(lambda: oracle(9).eval(EIGHT), id="TcfOracle.eval"),
+        pytest.param(
+            lambda: SealPackage(BinaryTcf(), 9, claw(8), tcf=oracle(9)),
+            id="SealPackage-register",
+        ),
+        pytest.param(
+            lambda: SealPackage(BinaryTcf(), 8, claw(8), tcf=oracle(9)),
+            id="SealPackage-tcf",
+        ),
+        *(
+            pytest.param(
+                lambda method=method: acceptance_probability(
+                    singleton(EIGHT), singleton(NINE), method
+                ),
+                id=f"acceptance_probability-{method.value}",
+            )
+            for method in VerifyMethod
+        ),
+        *(
+            pytest.param(
+                lambda method=method: alice_verify_quantum(
+                    record(8), singleton(NINE), method, NoDrawRandom()
+                ),
+                id=f"alice_verify_quantum-{method.value}",
+            )
+            for method in VerifyMethod
+        ),
+        pytest.param(
+            lambda: alice_verify_classical(record(9), EIGHT),
+            id="alice_verify_classical",
+        ),
+        pytest.param(
+            lambda: helstrom_discriminate(
+                singleton(EIGHT), singleton(NINE), singleton(NINE), NoDrawRandom()
+            ),
+            id="helstrom_discriminate-truth",
+        ),
+        pytest.param(
+            lambda: helstrom_discriminate(
+                singleton(EIGHT), singleton(EIGHT), singleton(NINE), NoDrawRandom()
+            ),
+            id="helstrom_discriminate-hypotheses",
+        ),
+    ],
+)
+def test_widths_must_agree(call):
+    """Every width agreement in the library is check_same_width's: an
+    8-bit object against a 9-bit one raises the same InvalidInputError,
+    before any draw."""
     with pytest.raises(InvalidInputError, match="^width mismatch: 8 vs 9$"):
-        a ^ b
-    with pytest.raises(InvalidInputError, match="^width mismatch: 8 vs 9$"):
-        a.dot(b)
+        call()
 
 
 def test_dot_is_parity_of_and():

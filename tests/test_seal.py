@@ -737,8 +737,9 @@ class TestHonestReturnAcceptedExactly:
 
 
 def reference_helstrom(truth, h0, h1, rng):
-    if not (truth.bit_len == h0.bit_len == h1.bit_len):
-        raise InvalidInputError("all three states must share one width")
+    for a, b in ((truth, h0), (h0, h1)):
+        if a.bit_len != b.bit_len:
+            raise InvalidInputError(f"width mismatch: {a.bit_len} vs {b.bit_len}")
     if h0.isclose(h1):
         raise InvalidInputError("hypotheses are identical; nothing to discriminate")
     overlap = max(-1.0, min(1.0, inner_product(h0, h1)))
@@ -760,8 +761,7 @@ def reference_helstrom(truth, h0, h1, rng):
 def reference_quantum_verdict(original, returned, method, rng):
     if original.bit_len != returned.bit_len:
         raise InvalidInputError(
-            f"returned width {returned.bit_len} does not match "
-            f"original width {original.bit_len}"
+            f"width mismatch: {original.bit_len} vs {returned.bit_len}"
         )
     if returned.isclose(original) or negated(returned).isclose(original):
         rng.random()

@@ -128,6 +128,19 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             SparseState(4, {bs(5, 1): 1.0})
 
+    @pytest.mark.parametrize("key", [1, "1", (4, 1), None], ids=repr)
+    def test_rejects_a_key_that_is_not_a_bit_string(self, key):
+        with pytest.raises(InvalidInputError, match="is not a BitString$"):
+            SparseState(4, {key: 1.0})
+
+    @pytest.mark.parametrize("amp", ["1", True, False, None, 1j, [1.0]], ids=repr)
+    def test_rejects_an_amplitude_that_is_not_an_int_or_float(self, amp):
+        with pytest.raises(InvalidInputError, match="is not an int or float$"):
+            SparseState(4, {bs(4, 1): amp})
+
+    def test_int_amplitudes_are_accepted(self):
+        assert dict(SparseState(4, {bs(4, 1): -1}).terms) == {bs(4, 1): -1}
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
     def test_rejects_non_finite_amplitudes(self, bad):
         with pytest.raises(InvalidInputError):

@@ -154,6 +154,15 @@ class TestOracleConstruction:
         with pytest.raises(InvalidInputError):
             TcfOracle(TcfParams(8), bytes(16), BitString(9, 1))
 
+    @pytest.mark.parametrize(
+        "salt",
+        ["a" * 16, bytearray(16), memoryview(bytes(16)), list(range(16)), None],
+        ids=lambda salt: type(salt).__name__,
+    )
+    def test_a_salt_that_is_not_bytes_is_refused(self, salt):
+        with pytest.raises(InvalidInputError, match="^salt must be 16 bytes$"):
+            TcfOracle(TcfParams(8), salt, BitString(8, 3))
+
 
 class TestOracleValue:
     def test_equal_exactly_when_params_salt_and_shift_are(self):
