@@ -7,12 +7,10 @@ the register (or a measurement of it) comes back for verification.
 
 from .bits import BitString
 from .errors import (
-    AmbiguousTagError,
     DocumentError,
     InvalidInputError,
     ProtocolCorruptionError,
     QsealError,
-    TagNotFoundError,
     UnsupportedModeError,
 )
 from .experiment import (
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliceSecret",
-    "AmbiguousTagError",
     "BinaryTcf",
     "BitString",
     "CheatStrategy",
@@ -76,7 +73,6 @@ __all__ = [
     "SealMode",
     "SealPackage",
     "SparseState",
-    "TagNotFoundError",
     "TcfOracle",
     "TcfParams",
     "TrialConfig",

@@ -65,6 +65,8 @@ class BitString(Value):
     @classmethod
     def from_hex(cls, bit_len: int, text: str) -> BitString:
         check_int("bit_len", bit_len, 1)
+        if not isinstance(text, str):  # before len(): bytes and lists have one too
+            raise InvalidInputError(f"hex must be a str, not {type(text).__name__}")
         expected = (bit_len + 3) // 4
         if len(text) != expected:
             raise InvalidInputError(

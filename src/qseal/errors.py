@@ -15,14 +15,6 @@ class InvalidInputError(QsealError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class TagNotFoundError(QsealError):
-    """No ciphertext in the collection carries the key's tag."""
-
-
-class AmbiguousTagError(QsealError):
-    """More than one ciphertext claims the same key tag."""
-
-
 class ProtocolCorruptionError(QsealError):
     """A protocol object is internally inconsistent and cannot be processed."""
 

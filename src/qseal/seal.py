@@ -23,13 +23,7 @@ from operator import attrgetter
 from random import Random
 
 from .bits import BitString, check_same_width
-from .errors import (
-    AmbiguousTagError,
-    InvalidInputError,
-    ProtocolCorruptionError,
-    TagNotFoundError,
-    UnsupportedModeError,
-)
+from .errors import InvalidInputError, ProtocolCorruptionError, UnsupportedModeError
 from .sparsestate import (
     AMP_TOL,
     SparseState,
@@ -204,8 +198,16 @@ class SealPackage(Value):
                     )
 
 
+def check_secret(secret: bytes) -> None:
+    """Raise InvalidInputError unless ``secret`` is nonempty bytes: the record
+    hashes the secret and its document writes hex."""
+    if not isinstance(secret, bytes) or not secret:
+        raise InvalidInputError("secret must be nonempty bytes")
+
+
 class AliceSecret(Value):
-    """Alice's retained record of one sealing."""
+    """Alice's retained record of one sealing; its secret is nonempty bytes
+    (check_secret)."""
 
     __slots__ = ("mode", "secret", "branches", "trapdoor", "original_state")
 
@@ -221,6 +223,7 @@ class AliceSecret(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        check_secret(self.secret)
         check_register(self.mode, self.original_state)
         # The state's terms share one width and are in value order; sorting
         # by value reproduces that order exactly when these are its branches.
@@ -316,9 +319,7 @@ def alice_seal_nary(
     computational-basis readout of the register opens the seal.
     """
     mode = NarySymmetric(k)
-    # bytes only: the record hashes the secret and its document writes hex.
-    if not isinstance(secret, bytes) or not secret:
-        raise InvalidInputError("secret must be nonempty bytes")
+    check_secret(secret)
     check_width(mode, bit_len)
     chosen = [BitString(bit_len, value) for value in draw_branches(k, bit_len, rng)]
     register = uniform_superposition(chosen)
@@ -347,20 +348,18 @@ def bob_open(package: SealPackage, rng: Random) -> bytes:
     """Read the sealed secret by measuring the register.
 
     Succeeds with certainty on honest packages: every branch opens to the
-    same secret.  The register in the package value is untouched; opening an
-    already collapsed register is deterministic.
+    same secret.  The outcome is a branch of the register, and the package
+    check lets each n-ary branch's tag occur on exactly one ciphertext, so
+    find_and_dec always finds its one match.  The register in the package
+    value is untouched; opening an already collapsed register is
+    deterministic.
     """
     outcome = measure_outcome(package.register, rng.random())
     if isinstance(package.mode, BinaryTcf):
         assert package.tcf is not None
         return package.tcf.eval(outcome)
     assert package.ciphertexts is not None
-    try:
-        return find_and_dec(outcome, package.ciphertexts)
-    except (TagNotFoundError, AmbiguousTagError) as exc:
-        raise ProtocolCorruptionError(
-            "measured branch does not open any ciphertext"
-        ) from exc
+    return find_and_dec(outcome, package.ciphertexts)
 
 
 def bob_respond(

@@ -13,7 +13,7 @@ import hashlib
 from typing import Iterable
 
 from .bits import BitString
-from .errors import AmbiguousTagError, TagNotFoundError
+from .errors import ProtocolCorruptionError
 from .value import Value, set_field
 
 TAG_BYTES = 16
@@ -31,13 +31,18 @@ class Ciphertext(Value):
         set_field(self, "body", body)
 
 
+def _tag(encoded: bytes) -> bytes:
+    """The tag of a key given as its ``BitString.encode()`` bytes."""
+    return hashlib.sha256(_TAG_PREFIX + encoded).digest()[:TAG_BYTES]
+
+
 def key_tag(key: BitString) -> bytes:
-    return hashlib.sha256(_TAG_PREFIX + key.encode()).digest()[:TAG_BYTES]
+    return _tag(key.encode())
 
 
-def _xor_keystream(key: BitString, data: bytes) -> bytes:
-    """``data`` XOR the SHA-256 counter keystream of the key."""
-    material = _STREAM_PREFIX + key.encode()
+def _xor_keystream(encoded: bytes, data: bytes) -> bytes:
+    """``data`` XOR the SHA-256 counter keystream of the encoded key."""
+    material = _STREAM_PREFIX + encoded
     length = len(data)
     stream = b"".join([
         hashlib.sha256(material + counter.to_bytes(8, "big")).digest()
@@ -48,17 +53,18 @@ def _xor_keystream(key: BitString, data: bytes) -> bytes:
 
 
 def enc(key: BitString, message: bytes) -> Ciphertext:
-    return Ciphertext(key_tag(key), _xor_keystream(key, message))
+    encoded = key.encode()
+    return Ciphertext(_tag(encoded), _xor_keystream(encoded, message))
 
 
 def find_and_dec(key: BitString, ciphertexts: Iterable[Ciphertext]) -> bytes:
-    """Decrypt the single ciphertext in the batch tagged for this key."""
-    tag = key_tag(key)
+    """Decrypt the one ciphertext in the batch tagged for this key; a batch
+    with none or several raises ProtocolCorruptionError."""
+    encoded = key.encode()
+    tag = _tag(encoded)
     matches = [ct for ct in ciphertexts if ct.key_tag == tag]
-    if not matches:
-        raise TagNotFoundError("no ciphertext carries this key's tag")
-    if len(matches) > 1:
-        raise AmbiguousTagError(
-            f"{len(matches)} ciphertexts carry the same key tag"
+    if len(matches) != 1:
+        raise ProtocolCorruptionError(
+            f"{len(matches) or 'no'} ciphertexts carry this key's tag"
         )
-    return _xor_keystream(key, matches[0].body)
+    return _xor_keystream(encoded, matches[0].body)

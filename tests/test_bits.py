@@ -177,6 +177,12 @@ def test_from_hex_accepts_only_the_canonical_rendering(bit_len, text):
         BitString.from_hex(bit_len, text)
 
 
+@pytest.mark.parametrize("text", [5, None, b"ab", ["a", "b"]], ids=repr)
+def test_from_hex_refuses_a_text_that_is_not_a_str(text):
+    with pytest.raises(InvalidInputError, match="^hex must be a str, not "):
+        BitString.from_hex(8, text)
+
+
 def test_encode_disambiguates_widths():
     # Same value at different widths must hash differently.
     assert BitString(8, 5).encode() != BitString(16, 5).encode()

@@ -650,6 +650,39 @@ class TestRespondVerify:
         bad.write_text(json.dumps(doc))
         assert run("verify", "--secret", str(bad), "--return", str(ret)) == 3
 
+    def test_empty_secret_is_rejected_by_verify(self, nary_files, tmp_path, capsys):
+        pkg, sec = nary_files
+        ret = tmp_path / "ret.json"
+        assert (
+            run("respond", "--package", str(pkg), "--kind", "quantum", "--out", str(ret))
+            == 0
+        )
+        doc = json.loads(sec.read_text())
+        doc["payload"]["secret"] = ""
+        bad = tmp_path / "bad-secret.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--secret", str(bad), "--return", str(ret)) == 3
+        assert "secret must be nonempty bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["open", "respond"])
+    def test_unpaired_ciphertext_is_an_integrity_error(
+        self, nary_files, tmp_path, capsys, command
+    ):
+        pkg, _ = nary_files
+        doc = json.loads(pkg.read_text())
+        entry = doc["payload"]["ciphertexts"][0]
+        tag = entry["key_tag"]
+        entry["key_tag"] = ("1" if tag[0] == "0" else "0") + tag[1:]
+        bad = tmp_path / "unpaired.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["--package", str(bad)]
+        if command == "respond":
+            argv += ["--kind", "quantum", "--out", str(tmp_path / "r.json")]
+        assert run(command, *argv) == 3
+        assert "must match exactly one ciphertext" in capsys.readouterr().err
+
     def test_tampered_package_is_rejected_by_respond(self, binary_files, tmp_path):
         pkg, _ = binary_files
         doc = json.loads(pkg.read_text())

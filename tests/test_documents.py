@@ -468,6 +468,13 @@ class TestCanonicalInput:
         with pytest.raises(DocumentError, match="trapdoor"):
             documents.secret_from_payload(payload)
 
+    @pytest.mark.parametrize("index", [0, 1], ids=["binary", "nary"])
+    def test_empty_secret_is_a_document_error(self, index):
+        payload = copy.deepcopy(VALID["secret"][index])
+        payload["secret"] = ""
+        with pytest.raises(DocumentError, match="secret must be nonempty bytes"):
+            documents.secret_from_payload(payload)
+
     def test_nary_secret_without_trapdoor_field_loads(self):
         payload = copy.deepcopy(VALID["secret"][1])
         del payload["trapdoor"]

@@ -998,6 +998,19 @@ class TestAliceSecret:
                 original_state=record.original_state,
             )
 
+    @pytest.mark.parametrize("secret", [b"", "x", None, bytearray(b"x")], ids=repr)
+    @pytest.mark.parametrize("mode", ["binary", "nary"])
+    def test_secret_must_be_nonempty_bytes(self, mode, secret):
+        _, record = seal_binary() if mode == "binary" else seal_nary(k=3)
+        with pytest.raises(InvalidInputError, match="^secret must be nonempty bytes$"):
+            AliceSecret(
+                mode=record.mode,
+                secret=secret,
+                branches=record.branches,
+                trapdoor=record.trapdoor,
+                original_state=record.original_state,
+            )
+
     def test_nary_secrets_retain_no_trapdoor(self):
         _, record = seal_nary(k=2)
         x1, x2 = record.branches

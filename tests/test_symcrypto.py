@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qseal.bits import BitString
-from qseal.errors import AmbiguousTagError, TagNotFoundError
+from qseal.errors import ProtocolCorruptionError
 from qseal.symcrypto import Ciphertext, enc, find_and_dec, key_tag
 
 # Frozen reference ciphertext for key 0xbeef (width 16), message
@@ -79,7 +79,7 @@ def test_same_value_different_width_gets_distinct_tags():
 
 def test_wrong_key_is_rejected_before_decryption():
     ct = enc(BitString(16, 0xBEEF), b"payload")
-    with pytest.raises(TagNotFoundError):
+    with pytest.raises(ProtocolCorruptionError, match="^no ciphertexts carry"):
         dec(BitString(16, 0xBEEE), ct)
 
 
@@ -105,14 +105,14 @@ def test_find_and_dec_picks_the_right_ciphertext():
 
 def test_find_and_dec_missing_tag():
     batch = (enc(BitString(12, 1), b"x"),)
-    with pytest.raises(TagNotFoundError):
+    with pytest.raises(ProtocolCorruptionError, match="^no ciphertexts carry"):
         find_and_dec(BitString(12, 2), batch)
 
 
 def test_find_and_dec_duplicate_tag():
     key = BitString(12, 1)
     batch = (enc(key, b"x"), enc(key, b"y"))
-    with pytest.raises(AmbiguousTagError):
+    with pytest.raises(ProtocolCorruptionError, match="^2 ciphertexts carry"):
         find_and_dec(key, batch)
 
 
